@@ -21,6 +21,7 @@ from . import constructions, frontier, lemmas, search
 from .audit import audit_bigindeg, audit_bigset
 from .digraph import (
     BipartiteDigraph,
+    GeneralDigraph,
     Side,
     VertexRef,
     backward_layers,
@@ -39,12 +40,14 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a p/q rational (decimals are rejected)")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -57,9 +60,14 @@ def _write_out(text: str, path: str):
             fh.write(text)
 
 
-def _load(path: str) -> BipartiteDigraph:
+def _load(path: str, kind=BipartiteDigraph):
+    """Parse an edge-list file holding a digraph of class `kind` (a class or
+    a tuple of classes)."""
     with open(path) as fh:
         g = parse_edge_list(fh.read())
+    if not isinstance(g, kind):
+        raise ValueError(f"{path} holds a {type(g).__name__}, "
+                         "which this command does not take")
     return g
 
 
@@ -82,8 +90,7 @@ def _cmd_construct(args) -> int:
             frozenset(int(y) for y in args.in_offsets.split(",")))
         g = constructions.offset_circulant(spec)
     elif which == "ch-reduce":
-        h = _load(args.file)
-        g = constructions.ch_reduce(h)
+        g = constructions.ch_reduce(_load(args.file, GeneralDigraph))
     else:
         g = constructions.random_compliant(args.na, args.nb, args.alpha,
                                            args.beta, seed=args.seed)
@@ -91,7 +98,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_girth(args) -> int:
-    gr = girth(_load(args.file))
+    gr = girth(_load(args.file, (BipartiteDigraph, GeneralDigraph)))
     if gr is None:
         print("acyclic")
     else:
@@ -146,7 +153,7 @@ def _cmd_search(args) -> int:
     cfg = search.SearchConfig(
         n_a=args.na, n_b=args.nb, k=args.k, alpha=args.alpha, beta=args.beta,
         mode=mode, eulerian=args.eulerian, seed=args.seed,
-        node_limit=args.node_limit, thread_hint=args.threads)
+        node_limit=args.node_limit)
     report = search.find_counterexample(cfg)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 2 if report.status is search.SearchStatus.FoundCounterexample else 0
@@ -292,8 +299,6 @@ def build_parser() -> _Parser:
                     default="exhaustive")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--node-limit", type=int, default=search.DEFAULT_NODE_LIMIT)
-    ps.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility; runs are sequential")
     ps.set_defaults(fn=_cmd_search)
 
     pf = sub.add_parser("lemmas", help="fact scans and stress suites (JSON)")

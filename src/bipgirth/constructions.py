@@ -9,18 +9,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .digraph import (
-    A,
-    B,
-    BipartiteDigraph,
-    GeneralDigraph,
-    Side,
-    VertexRef,
-)
+from .digraph import BipartiteDigraph, GeneralDigraph
 from .errors import InfeasibleDegree, NullDigraph
 
 

@@ -61,6 +61,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= lsb
 
 
+def _expand(rows, mask: int) -> int:
+    """OR of rows[i] over the set bits i of mask: one frontier step."""
+    out = 0
+    while mask:
+        lsb = mask & -mask
+        out |= rows[lsb.bit_length() - 1]
+        mask ^= lsb
+    return out
+
+
 @dataclass(frozen=True)
 class BipartiteDigraph:
     a_size: int
@@ -169,6 +179,8 @@ def from_edges(a_size: int, b_size: int,
 
 
 def general_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> GeneralDigraph:
+    if n < 0:
+        raise NullDigraph(f"negative vertex count {n}")
     out = [0] * n
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
@@ -204,35 +216,29 @@ def _label(g: AnyDigraph, v: int):
     return A(v) if v < g.a_size else B(v - g.a_size)
 
 
-def shortest_cycle_length(g: AnyDigraph, upper: Optional[int] = None) -> Optional[int]:
-    """Length of the shortest directed cycle, or None if acyclic.
+def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
+    """(length, start) of a shortest directed cycle, or None if acyclic.
 
-    If `upper` is given, only cycles of length <= upper are looked for.
+    `start` lies on such a cycle, numbered A-vertices first, then B.
     Per-start BFS with bit-parallel frontier expansion; starts are taken in
     descending out-degree order so the cutoff tightens early.
     """
     n, adj = _unified(g)
-    best: Optional[int] = None
-    cap0 = upper if upper is not None else n
+    best: Optional[tuple[int, int]] = None
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
     for v in order:
-        cap = (best - 1) if best is not None else cap0
+        cap = best[0] - 1 if best is not None else n
         vbit = 1 << v
         frontier = adj[v]
         visited = vbit | frontier
         depth = 1
         while frontier and depth < cap:
-            nxt = 0
-            m = frontier
-            while m:
-                lsb = m & -m
-                nxt |= adj[lsb.bit_length() - 1]
-                m ^= lsb
+            nxt = _expand(adj, frontier)
             depth += 1
             if nxt & vbit:
-                best = depth
-                if best == 2:
-                    return 2
+                best = (depth, v)
+                if depth == 2:
+                    return best
                 break
             frontier = nxt & ~visited
             visited |= nxt
@@ -240,36 +246,19 @@ def shortest_cycle_length(g: AnyDigraph, upper: Optional[int] = None) -> Optiona
 
 
 def _cycle_through(adj: list[int], v: int, length: int) -> list[int]:
-    """Reconstruct one shortest cycle of the given length through v."""
-    n = len(adj)
-    dist = [-1] * n
-    dist[v] = 0
-    frontier = [v]
-    d = 0
-    while frontier and d < length - 1:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in _bits(adj[u]):
-                if dist[w] == -1:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    # find a closing edge u -> v with dist[u] == length-1
-    closing = None
-    for u in range(n):
-        if dist[u] == length - 1 and adj[u] >> v & 1:
-            closing = u
-            break
-    assert closing is not None, "witness reconstruction failed"
-    path = [closing]
-    cur = closing
-    for d in range(length - 2, 0, -1):
-        for u in range(n):
-            if dist[u] == d and adj[u] >> cur & 1:
-                path.append(u)
-                cur = u
-                break
+    """One cycle of the given length through v, when no shorter one passes
+    through v, read back from the exact-distance layers out of v."""
+    layers = [1 << v]
+    seen = layers[0]
+    for _ in range(length - 1):
+        nxt = _expand(adj, layers[-1]) & ~seen
+        seen |= nxt
+        layers.append(nxt)
+    path = []
+    cur = v
+    for layer in reversed(layers[1:]):
+        cur = next(u for u in _bits(layer) if adj[u] >> cur & 1)
+        path.append(cur)
     path.append(v)
     path.reverse()
     return path
@@ -277,34 +266,13 @@ def _cycle_through(adj: list[int], v: int, length: int) -> list[int]:
 
 def girth(g: AnyDigraph) -> Optional[Girth]:
     """Minimum directed cycle length with one witness cycle; None if acyclic."""
-    best = shortest_cycle_length(g)
-    if best is None:
+    found = shortest_cycle_length(g)
+    if found is None:
         return None
-    n, adj = _unified(g)
-    # find a start vertex carrying a cycle of the minimum length
-    for v in range(n):
-        vbit = 1 << v
-        frontier = adj[v]
-        visited = vbit | frontier
-        depth = 1
-        hit = False
-        while frontier and depth < best:
-            nxt = 0
-            m = frontier
-            while m:
-                lsb = m & -m
-                nxt |= adj[lsb.bit_length() - 1]
-                m ^= lsb
-            depth += 1
-            if nxt & vbit:
-                hit = depth == best
-                break
-            frontier = nxt & ~visited
-            visited |= nxt
-        if hit:
-            cycle = _cycle_through(adj, v, best)
-            return Girth(best, tuple(_label(g, u) for u in cycle))
-    raise AssertionError("girth witness not found")  # pragma: no cover
+    length, start = found
+    _, adj = _unified(g)
+    cycle = _cycle_through(adj, start, length)
+    return Girth(length, tuple(_label(g, u) for u in cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +298,16 @@ class LayerProfile:
 def forward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int,
                    _direction: Direction = Direction.forward) -> LayerProfile:
     """Exact-distance layers from v by level-synchronous bitmask expansion."""
+    size = g.a_size if v.side is Side.A else g.b_size
+    if not 0 <= v.index < size:
+        raise IndexOutOfRange(f"{v} out of range for side size {size}")
     layers: list[frozenset[VertexRef]] = [frozenset([v])]
-    a_out, b_out = g.a_out, g.b_out
     seen = {Side.A: 0, Side.B: 0}
     seen[v.side] = 1 << v.index
     frontier = 1 << v.index
     side = v.side
     for _ in range(max_i):
-        rows = a_out if side is Side.A else b_out
-        nxt = 0
-        m = frontier
-        while m:
-            lsb = m & -m
-            nxt |= rows[lsb.bit_length() - 1]
-            m ^= lsb
+        nxt = _expand(g.a_out if side is Side.A else g.b_out, frontier)
         side = side.complement
         nxt &= ~seen[side]
         seen[side] |= nxt
@@ -452,11 +416,7 @@ def aux_square_digraph(g: BipartiteDigraph, S: Iterable[VertexRef],
     t_rows = g.b_out if s_side is Side.A else g.a_out
     out = []
     for p, v in enumerate(order):
-        mids = s_rows[v.index] & t_mask
-        reach = 0
-        for w in _bits(mids):
-            reach |= t_rows[w]
-        reach &= s_mask
+        reach = _expand(t_rows, s_rows[v.index] & t_mask) & s_mask
         row = 0
         for u in _bits(reach):
             if u != v.index:

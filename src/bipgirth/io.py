@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from .digraph import (
     AnyDigraph,
-    BipartiteDigraph,
     GeneralDigraph,
-    Side,
     VertexRef,
     _bits,
     from_edges,
@@ -46,19 +44,18 @@ def parse_edge_list(text: str) -> AnyDigraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty digraph file")
-    header = lines[0].split()
-    if header[0] == "bipartite":
-        a_size, b_size = int(header[1]), int(header[2])
+    kind, *sizes = lines[0].split()
+    if kind == "bipartite" and len(sizes) == 2:
         edges = []
         for ln in lines[1:]:
             t, h = ln.split()
             edges.append((VertexRef.parse(t), VertexRef.parse(h)))
-        return from_edges(a_size, b_size, edges)
-    if header[0] == "digraph":
-        n = int(header[1])
+        return from_edges(int(sizes[0]), int(sizes[1]), edges)
+    if kind == "digraph" and len(sizes) == 1:
         edges = [(int(t), int(h)) for t, h in (ln.split() for ln in lines[1:])]
-        return general_from_edges(n, edges)
-    raise ValueError(f"unknown header {lines[0]!r}")
+        return general_from_edges(int(sizes[0]), edges)
+    raise ValueError(f"bad header {lines[0]!r}: expected "
+                     "'bipartite <a_size> <b_size>' or 'digraph <n>'")
 
 
 def to_dot(g: AnyDigraph) -> str:

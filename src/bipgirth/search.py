@@ -3,9 +3,10 @@
 Exhaustive mode enumerates digraphs with exact minimum degrees (adding
 edges only shortens cycles, so large-girth witnesses exist at exact
 degrees if they exist at all), breaks the A-side labeling symmetry by
-requiring nondecreasing adjacency rows, and prunes on every added B-row
-by checking for short cycles through the new vertex.  Runs are
-sequential and fully deterministic.
+requiring nondecreasing adjacency rows, and prunes each B-row candidate
+by one mask per depth: the A-vertices that already reach the new
+B-vertex within 2k-1 steps.  Runs are sequential and fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .constructions import random_compliant, required_degrees
-from .digraph import BipartiteDigraph, _bits, girth, is_compliant
+from .digraph import BipartiteDigraph, _bits, _expand, _transpose, girth, is_compliant
 from .errors import InfeasibleConfig
 
 DEFAULT_NODE_LIMIT = 10 ** 9
@@ -42,7 +43,6 @@ class SearchConfig:
     eulerian: bool = False
     seed: int = 0
     node_limit: int = DEFAULT_NODE_LIMIT
-    thread_hint: Optional[int] = None
 
     def __post_init__(self):
         if self.n_a < 1 or self.n_b < 1 or self.k < 1:
@@ -222,39 +222,22 @@ class _Enumerator:
         if self.nodes > self.cfg.node_limit:
             raise _LimitHit
 
-    def _short_cycle_through_b(self, a_rows: list[int], b_rows: list[int], j: int) -> bool:
-        """Is there a directed cycle of length <= 2k through b_j in the
-        partial digraph (all A-rows, B-rows 0..j assigned)?"""
-        assigned = (1 << len(b_rows)) - 1
-        frontier_a = b_rows[j]
-        seen_a = frontier_a
-        seen_b = 0
-        jbit = 1 << j
-        for _ in range(self.cfg.k):
-            nxt_b = 0
-            m = frontier_a
-            while m:
-                lsb = m & -m
-                nxt_b |= a_rows[lsb.bit_length() - 1]
-                m ^= lsb
-            if nxt_b & jbit:
-                return True
-            frontier_b = nxt_b & ~seen_b & assigned
-            seen_b |= nxt_b
-            nxt_a = 0
-            m = frontier_b
-            while m:
-                lsb = m & -m
-                nxt_a |= b_rows[lsb.bit_length() - 1]
-                m ^= lsb
-            frontier_a = nxt_a & ~seen_a
-            seen_a |= nxt_a
-            if not frontier_a:
-                return False
-        return False
+    def _reach_b(self, a_in: tuple[int, ...], b_rows: list[int]) -> int:
+        """A-vertices that reach b_j, j = len(b_rows), within 2k-1 steps
+        through B-rows 0..j-1; a row for b_j meeting this mask closes a
+        cycle of length <= 2k.  Backward BFS over the transposed A-rows."""
+        frontier = reach = a_in[len(b_rows)]
+        for _ in range(self.cfg.k - 1):
+            nxt_b = sum(1 << i for i, row in enumerate(b_rows) if row & frontier)
+            frontier = _expand(a_in, nxt_b) & ~reach
+            if not frontier:
+                break
+            reach |= frontier
+        return reach
 
     def _b_phase(self, a_rows: list[int]) -> bool:
         cfg = self.cfg
+        a_in = _transpose(a_rows, cfg.n_b, cfg.n_a)
         col_cap = [0] * cfg.n_a  # in-degree of each A-vertex so far (eulerian)
         b_rows: list[int] = []
 
@@ -265,8 +248,11 @@ class _Enumerator:
                     cfg.n_a, cfg.n_b, tuple(a_rows), tuple(b_rows))
                 return True
             remaining = cfg.n_b - j - 1
+            forbidden = self._reach_b(a_in, b_rows)
             for row in self.row_choices_b:
                 self._tick()
+                if row & forbidden:
+                    continue
                 if cfg.eulerian:
                     ok = True
                     for i in _bits(row):
@@ -286,9 +272,8 @@ class _Enumerator:
                         if self.d_a - col_cap[i] > remaining:
                             feasible = False
                             break
-                if feasible and not self._short_cycle_through_b(a_rows, b_rows, j):
-                    if rec():
-                        return True
+                if feasible and rec():
+                    return True
                 if cfg.eulerian:
                     for i in _bits(row):
                         col_cap[i] -= 1

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipgirth.cli import main, parse_rational
 from bipgirth.constructions import circulant
@@ -217,3 +218,71 @@ class TestUsageErrors:
 
     def test_missing_required(self, capsys):
         assert main(["classify", "--k", "2"]) == 1
+
+
+class TestMalformedInput:
+    """Each input error ends in exit 1 and one `error:` line, no traceback."""
+
+    FILES = {
+        "bare_bipartite": "bipartite\n",
+        "bare_digraph": "digraph\n",
+        "negative": "digraph -1\n",
+        "one_by_one": "bipartite 1 1\nA0 B0\nB0 A0\n",
+        "general": "digraph 2\n0 1\n1 0\n",
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["girth", "{bare_bipartite}"],
+        ["girth", "{bare_digraph}"],
+        ["girth", "{negative}"],
+        ["classify", "--k", "2", "--alpha", "1/0", "--beta", "1/3"],
+        ["layers", "{one_by_one}", "--vertex", "A5"],
+        ["layers", "{general}", "--vertex", "A0"],
+        ["comply", "{general}", "--alpha", "1/2", "--beta", "1/2"],
+        ["audit", "bells", "{general}"],
+        ["construct", "ch-reduce", "{one_by_one}"],
+        ["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
+         "--beta", "1/3", "--threads", "2"],
+    ])
+    def test_one_line_error(self, argv, tmp_path, capsys):
+        paths = {}
+        for name, text in self.FILES.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        rc = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+_JUNK = [None, "-1", "0", "50", "A50", "B49", "C0", "x", "1/2", "digraph"]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_token_files_exit_0_or_1(tmp_path_factory, data):
+    # a valid edge list, then up to three tokens replaced or deleted; every
+    # size stays at most 50 because from_edges allocates its rows up front
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        header = ["bipartite", str(n), str(m)]
+        edges = [(f"A{i}", f"B{j}") for i in range(n) for j in range(m)]
+        edges += [(f"B{j}", f"A{i}") for i in range(n) for j in range(m)]
+    else:
+        header = ["digraph", str(n)]
+        edges = [(str(i), str(j)) for i in range(n) for j in range(n)]
+    lines = [header] + [list(e) for e in data.draw(
+        st.lists(st.sampled_from(edges), max_size=8))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not any(lines):
+            break
+        line = data.draw(st.sampled_from([ln for ln in lines if ln]))
+        pos = data.draw(st.integers(0, len(line) - 1))
+        tok = data.draw(st.sampled_from(_JUNK))
+        if tok is None:
+            del line[pos]
+        else:
+            line[pos] = tok
+    path = tmp_path_factory.getbasetemp() / "tokens.txt"
+    path.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+    assert main(["girth", str(path)]) in (0, 1)

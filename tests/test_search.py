@@ -217,6 +217,38 @@ class TestFindCounterexample:
         assert blob["config"]["alpha"] == "1/3"
 
 
+class TestPinnedWork:
+    """Node counts, statuses and witnesses of fixed exhaustive runs: any
+    change to the pruning must leave them bit-identical."""
+
+    @pytest.mark.parametrize("cfg, status, nodes, witness", [
+        ((5, 5, 2, F(2, 5), F(2, 5)), SearchStatus.Exhausted, 529_062, None),
+        ((6, 6, 2, F(1, 3), F(1, 3)), SearchStatus.FoundCounterexample,
+         2_101_754, ((3, 3, 12, 12, 48, 48), (12, 12, 48, 48, 3, 3))),
+        ((5, 5, 3, F(2, 5), F(1, 5)), SearchStatus.Exhausted, 1_087_151, None),
+    ])
+    def test_exhaustive_runs(self, cfg, status, nodes, witness):
+        rep = find_counterexample(SearchConfig(*cfg))
+        assert rep.status is status
+        assert rep.nodes_explored == nodes
+        if witness is None:
+            assert rep.witness is None
+        else:
+            assert (rep.witness.a_out, rep.witness.b_out) == witness
+
+    def test_eulerian_sweep(self):
+        reports = verify_eulerian_small(2, 6)
+        assert [r.nodes_explored for r in reports] == [2, 9, 16, 193, 2280, 57798]
+        assert all(r.status is SearchStatus.Exhausted for r in reports)
+
+    def test_limited_sweep(self):
+        reports = verify_conjecture_small(3, 6, node_limit=300_000)
+        assert [r.nodes_explored for r in reports] == [2, 17, 199, 3377, 300_001, 300_001]
+        assert [r.status for r in reports] == [SearchStatus.Exhausted] * 4 + [
+            SearchStatus.LimitReached] * 2
+        assert all(r.witness is None for r in reports)
+
+
 class TestVerifySmall:
     def test_conjecture_consistency(self):
         for rep in verify_conjecture_small(2, 4):
