@@ -49,6 +49,8 @@ def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
                  horizon: Optional[int] = None) -> AuditReport:
     """Check, for each i up to the horizon, that either layer i is large
     or the star union below it is very large (side-appropriate thresholds)."""
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon {horizon} is below 1")
     if not is_compliant(g, alpha, beta):
         raise PreconditionViolated("digraph is not (alpha,beta)-compliant")
     gr = girth(g)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 import time
@@ -33,17 +32,24 @@ from .digraph import (
 from .errors import BipgirthError
 from .io import parse_edge_list, to_dot, to_edge_list
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
+    """A nonnegative p/q rational: every rational option is nonnegative."""
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a p/q rational (decimals are rejected)")
+            f"{text!r} is not a nonnegative p/q rational (decimals are rejected)")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,15 +179,8 @@ def _fact_entry(fact_id: str) -> dict:
 
 def _cmd_lemmas(args) -> int:
     if args.stress:
-        rng = random.Random(args.seed)
         t0 = time.perf_counter()
-        violations = 0
-        for case in "abc":
-            for _ in range(args.count):
-                inst = lemmas.random_newineq_instance(case, rng)
-                bound = lemmas.newineq_bound(inst, case)
-                if lemmas.newineq_min_oracle(inst, 10, rounds=2) < float(bound) - 1e-9:
-                    violations += 1
+        violations = lemmas.newineq_stress("abc", args.count, args.seed)
         out = {"stress": args.stress, "count": args.count, "seed": args.seed,
                "violations": violations,
                "wall_time_ms": round((time.perf_counter() - t0) * 1000, 3)}
@@ -298,7 +297,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--mode", choices=["exhaustive", "random"],
                     default="exhaustive")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--node-limit", type=int, default=search.DEFAULT_NODE_LIMIT)
+    ps.add_argument("--node-limit", type=_positive_int,
+                    default=search.DEFAULT_NODE_LIMIT)
     ps.set_defaults(fn=_cmd_search)
 
     pf = sub.add_parser("lemmas", help="fact scans and stress suites (JSON)")
@@ -306,7 +306,7 @@ def build_parser() -> _Parser:
     group.add_argument("--all", action="store_true")
     group.add_argument("--fact")
     group.add_argument("--stress", choices=["newineq"])
-    pf.add_argument("--count", type=int, default=1000)
+    pf.add_argument("--count", type=_positive_int, default=1000)
     pf.add_argument("--seed", type=int, default=7)
     pf.set_defaults(fn=_cmd_lemmas)
 
@@ -318,7 +318,7 @@ def build_parser() -> _Parser:
     pa.add_argument("--beta", type=parse_rational)
     pa.add_argument("--delta", type=parse_rational)
     pa.add_argument("--vertex")
-    pa.add_argument("--horizon", type=int, default=None)
+    pa.add_argument("--horizon", type=_positive_int)
     pa.set_defaults(fn=_cmd_audit)
 
     return top

@@ -122,6 +122,8 @@ def ch_reduce(h: GeneralDigraph) -> BipartiteDigraph:
 
 def required_degrees(n_a: int, n_b: int, alpha: Fraction, beta: Fraction) -> tuple[int, int]:
     """Minimum integer out-degrees realising compliance: (A-side, B-side)."""
+    if n_a < 1 or n_b < 1:
+        raise NullDigraph(f"sides of sizes ({n_a},{n_b}) must both be nonempty")
     d_a = math.ceil(beta * n_b)
     d_b = math.ceil(alpha * n_a)
     if d_a > n_b or d_b > n_a:

@@ -1,11 +1,11 @@
 """Closed-form inequality lab: quadratic lower bounds, summation checks,
 the large-k threshold, delta constants, and the numeric fact catalog.
 
-Everything scanned is evaluated in exact rationals at grid points; scan
-results are evidence at the stated resolution, not proofs.  The quadratic
-minimization oracle is deliberately independent of the bound formulas:
-it grids the feasible set and descends, and can only overestimate the
-true minimum, so "oracle >= bound - tol" is a sound acceptance check.
+All arithmetic is exact (`Fraction`).  The fact scans evaluate at grid
+points, so their results are evidence at the stated resolution, not
+proofs.  The quadratic minimiser is deliberately independent of the bound
+formulas: it solves the minimisation in closed form and certifies its
+minimising triple as feasible, so "minimum >= bound" is an exact check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     UnknownFact,
 )
 
-Real = Union[int, float, Fraction]
+Real = Union[int, Fraction]
 
 DELTA3 = Fraction(2886, 1000)
 DELTA4 = Fraction(34814, 10000)
@@ -66,12 +66,10 @@ def delta_table(k: int) -> list[DeltaEntry]:
 # The quadratic lower bound (three cases)
 # ---------------------------------------------------------------------------
 
-def _sq_over(num: Real, den: Real) -> Real:
+def _sq_over(num: Real, den: Real) -> Fraction:
     """num^2/den with the stated convention: a zero denominator is taken
     to come with a zero numerator, and the whole term is zero."""
-    if den == 0:
-        return 0 if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)) else 0.0
-    return num * num / den
+    return Fraction(num * num, den) if den else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,8 @@ class NewineqInstance:
     mu: Real
 
     def __post_init__(self):
+        for name in ("x", "y", "beta", "gamma", "mu"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if not (0 <= self.x <= self.y <= 1):
             raise ValueError(f"need 0 <= x <= y <= 1, got x={self.x}, y={self.y}")
         if self.beta < 0 or self.gamma < 0 or self.mu < 0:
@@ -114,17 +114,14 @@ def _check_feasible(inst: NewineqInstance, t: FeasibleTriple) -> None:
         raise InfeasibleTriple("p, q, r must be nonnegative")
     head = t.p * inst.x + t.q * (inst.y - inst.x)
     total = head + t.r * (1 - inst.y)
-    exact = all(isinstance(v, (int, Fraction))
-                for v in (t.p, t.q, t.r, inst.x, inst.y, inst.beta, inst.mu))
-    tol = 0 if exact else 1e-12
-    if abs(total - inst.beta) > tol:
+    if total != inst.beta:
         raise InfeasibleTriple(f"weights sum to {total}, expected {inst.beta}")
-    if head < inst.mu - tol:
+    if head < inst.mu:
         raise InfeasibleTriple(f"px+q(y-x) = {head} below mu = {inst.mu}")
 
 
 def f_value(inst: NewineqInstance, t: FeasibleTriple) -> Real:
-    """x(p-gamma)^2 + (y-x)q^2 + (1-y)r^2, exact when inputs are rational."""
+    """x(p-gamma)^2 + (y-x)q^2 + (1-y)r^2, in exact rationals."""
     _check_feasible(inst, t)
     x, y, g = inst.x, inst.y, inst.gamma
     return x * (t.p - g) ** 2 + (y - x) * t.q ** 2 + (1 - y) * t.r ** 2
@@ -142,113 +139,95 @@ def newineq_bound(inst: NewineqInstance, case: str) -> Real:
     return _sq_over(m - x * g, y) + _sq_over(b - m, 1 - y)
 
 
-def newineq_min_oracle(inst: NewineqInstance, grid_n: int, rounds: int = 4) -> float:
-    """Independent approximate minimum of f over the feasible set.
+def newineq_min_oracle(inst: NewineqInstance) -> Optional[Fraction]:
+    """Exact minimum of f over the feasible set, or None when it is empty.
 
-    Grids the free coordinates over [0, P_max] with P_max = 4(beta+gamma+1),
-    projects each grid point onto the constraint slab mu <= px+q(y-x) <= beta,
-    and zooms in around the best point.  Every evaluated point is feasible,
-    so the returned value can only overestimate the true minimum.
+    Independent of `newineq_bound`: it builds the minimising triple from the
+    KKT conditions and returns `f_value` there, so `_check_feasible`
+    certifies the triple.  With u = p - gamma and c = beta - x*gamma the
+    weights (x, y-x, 1-y) sum to 1, f = x*u^2 + (y-x)q^2 + (1-y)r^2 and
+    x*u + (y-x)q + (1-y)r = c.  Cases:
+
+    - mu > beta: the head px+q(y-x) = beta - (1-y)r is at most beta, so
+      the set is empty.
+    - c <= 0: q, r >= 0 force x*u <= c, so f >= x*u^2 >= c^2/x, attained by
+      (beta/x, 0, 0) with head beta >= mu.  When x = 0, beta = 0 and the
+      triple is (0, 0, 0).
+    - c > 0 and x*gamma + y*c >= mu: by Cauchy-Schwarz f >= c^2, attained
+      by the equal values u = q = r = c, i.e. (gamma+c, c, c), whose head
+      x*gamma + y*c is feasible.
+    - Otherwise the head constraint is tight (the problem is convex and its
+      unconstrained optimum violates it).  With head mass H = x*u + (y-x)q,
+      Cauchy-Schwarz on each group gives f >= H^2/y + (c-H)^2/(1-y), convex
+      in H with its minimum at H = y*c, below the required
+      H >= mu - x*gamma; so H = mu - x*gamma, split equally:
+      (gamma+h, h, (beta-mu)/(1-y)) with h = (mu - x*gamma)/y.  Here y < 1,
+      since y = 1 makes the head equal beta; y = 0 makes the head 0 < mu,
+      so the set is empty.
     """
-    if grid_n < 10:
-        raise ValueError("grid_n must be >= 10")
-    x = float(inst.x)
-    y = float(inst.y)
-    beta = float(inst.beta)
-    gamma = float(inst.gamma)
-    mu = float(inst.mu)
-    wp, wq, wr = x, y - x, 1.0 - y
-    if mu > beta + 1e-12:
-        return math.inf  # no feasible triple at all
-    p_max = 4.0 * (beta + gamma + 1.0)
-
-    def evaluate(p: float, q: float) -> Optional[float]:
-        # project (p, q) onto mu <= head <= beta, then solve r
-        head = wp * p + wq * q
-        if head < mu:
-            if head <= 0.0:
-                if mu > 0.0:
-                    return None
-            else:
-                scale = mu / head
-                p *= scale
-                q *= scale
-                head = mu
-        if head > beta:
-            scale = beta / head
-            p *= scale
-            q *= scale
-            head = beta
-        if wr > 0.0:
-            r = (beta - head) / wr
-        else:
-            if abs(head - beta) > 1e-9 * (1.0 + beta):
-                return None
-            r = 0.0
-        return wp * (p - gamma) ** 2 + wq * q * q + wr * r * r
-
-    best = math.inf
-    best_pt = (0.0, 0.0)
-    lo_p, hi_p = 0.0, p_max
-    lo_q, hi_q = 0.0, p_max
-    for _ in range(rounds):
-        step_p = (hi_p - lo_p) / grid_n
-        step_q = (hi_q - lo_q) / grid_n
-        for i in range(grid_n + 1):
-            p = lo_p + i * step_p
-            for j in range(grid_n + 1):
-                v = evaluate(p, lo_q + j * step_q)
-                if v is not None and v < best:
-                    best = v
-                    best_pt = (p, lo_q + j * step_q)
-        # zoom in around the incumbent
-        half_p = max(2.0 * step_p, 1e-9)
-        half_q = max(2.0 * step_q, 1e-9)
-        lo_p = max(0.0, best_pt[0] - half_p)
-        hi_p = best_pt[0] + half_p
-        lo_q = max(0.0, best_pt[1] - half_q)
-        hi_q = best_pt[1] + half_q
-    if best is math.inf:
-        # constraint slab too thin for the grid; take the boundary point q=0
-        if wp > 0.0:
-            v = evaluate(beta / wp, 0.0)
-        elif wq > 0.0:
-            v = evaluate(0.0, beta / wq)
-        else:
-            v = evaluate(0.0, 0.0)
-        if v is not None:
-            best = v
-    return best
+    x, y, b, g, m = inst.x, inst.y, inst.beta, inst.gamma, inst.mu
+    if m > b:
+        return None
+    c = b - x * g
+    if c <= 0:
+        t = FeasibleTriple(b / x if x else Fraction(0), 0, 0)
+    elif x * g + y * c >= m:
+        t = FeasibleTriple(g + c, c, c)
+    elif y == 0:
+        return None
+    else:
+        h = (m - x * g) / y
+        t = FeasibleTriple(g + h, h, (b - m) / (1 - y))
+    return f_value(inst, t)
 
 
-def check_newineq(inst: NewineqInstance, grid_n: int = 400, tol: float = 1e-9) -> bool:
-    """Oracle minimum respects the proved bound in every applicable case."""
-    for case in inst.applicable_cases():
-        if newineq_min_oracle(inst, grid_n) < float(newineq_bound(inst, case)) - tol:
-            return False
-    return True
+def check_newineq(inst: NewineqInstance) -> bool:
+    """The exact minimum respects the proved bound in every applicable case."""
+    low = newineq_min_oracle(inst)
+    return low is None or all(low >= newineq_bound(inst, case)
+                              for case in inst.applicable_cases())
 
 
 def random_newineq_instance(case: str, rng: random.Random) -> NewineqInstance:
-    """Seeded instance eligible for the given case, with a nonempty feasible set."""
+    """Seeded instance eligible for the given case, with a nonempty feasible set.
+
+    The coordinates come from `rng.random()` and are screened in machine
+    arithmetic; the instance keeps their exact values and is returned only
+    if eligibility and mu <= beta hold on those exact values.
+    """
+    if case not in ("a", "b", "c"):
+        raise ValueError(f"unknown case {case!r}")
     while True:
         x = rng.random()
         y = x + rng.random() * (1 - x)
         beta = rng.random()
         gamma = rng.random()
-        if case == "a":
-            if beta <= x * gamma:
-                return NewineqInstance(x, y, beta, gamma, rng.random() * beta)
-        elif case == "b":
-            if beta >= x * gamma:
-                return NewineqInstance(x, y, beta, gamma, rng.random() * beta)
-        elif case == "c":
-            lo = y * beta + x * (1 - y) * gamma
-            if beta >= x * gamma and lo <= beta:
-                return NewineqInstance(x, y, beta, gamma,
-                                       lo + rng.random() * (beta - lo))
+        lo = y * beta + x * (1 - y) * gamma
+        if case == "a" and beta <= x * gamma:
+            mu = rng.random() * beta
+        elif case == "b" and beta >= x * gamma:
+            mu = rng.random() * beta
+        elif case == "c" and beta >= x * gamma and lo <= beta:
+            mu = lo + rng.random() * (beta - lo)
         else:
-            raise ValueError(f"unknown case {case!r}")
+            continue
+        inst = NewineqInstance(x, y, beta, gamma, mu)
+        if inst.eligible(case) and inst.mu <= inst.beta:
+            return inst
+
+
+def newineq_stress(cases: str, count: int, seed: int) -> int:
+    """Draw `count` seeded instances per case from one generator and return
+    how many have an exact minimum below the case's bound.  The bound is
+    proved, so any violation is an implementation bug."""
+    rng = random.Random(seed)
+    violations = 0
+    for case in cases:
+        for _ in range(count):
+            inst = random_newineq_instance(case, rng)
+            if newineq_min_oracle(inst) < newineq_bound(inst, case):
+                violations += 1
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +253,7 @@ class CheckReport:
 
 
 def appliedineq_check(samples: Sequence[tuple[Real, Real]], params: IneqParams,
-                      X_set: Iterable[int], Y_set: Iterable[int],
-                      tol: float = 1e-9) -> CheckReport:
+                      X_set: Iterable[int], Y_set: Iterable[int]) -> CheckReport:
     """Verify the summation inequality on a concrete sample set.
 
     samples[v] = (a(v), b(v)); X_set and Y_set index into samples.  The
@@ -288,24 +266,24 @@ def appliedineq_check(samples: Sequence[tuple[Real, Real]], params: IneqParams,
     Y = frozenset(Y_set)
     x, y, beta, gamma, lam, mu = (params.x, params.y, params.beta,
                                   params.gamma, params.lam, params.mu)
-    if abs(sum(b for _, b in samples) - beta * n) > tol:
+    if sum(b for _, b in samples) != beta * n:
         raise HypothesisViolated("bullet 1", "sum of b(v) differs from beta|B|")
-    if any(a < lam - tol for a, _ in samples):
+    if any(a < lam for a, _ in samples):
         raise HypothesisViolated("bullet 2", "some a(v) below lambda")
-    if abs(len(X) - x * n) > tol:
+    if len(X) != x * n:
         raise HypothesisViolated("bullet 3", "|X| differs from x|B|")
-    if any(samples[v][0] < gamma + lam - tol for v in range(n) if v not in X):
+    if any(samples[v][0] < gamma + lam for v in range(n) if v not in X):
         raise HypothesisViolated("bullet 3", "a(v) below gamma+lambda off X")
-    if abs(len(Y) - y * n) > tol:
+    if len(Y) != y * n:
         raise HypothesisViolated("bullet 4", "|Y| differs from y|B|")
-    if sum(samples[v][1] for v in Y) < mu * n - tol:
+    if sum(samples[v][1] for v in Y) < mu * n:
         raise HypothesisViolated("bullet 4", "sum of b over Y below mu|B|")
     if beta < x * gamma or y * beta + x * (1 - y) * gamma > mu:
         raise HypothesisViolated("bullet 5", "parameter inequalities fail")
     lhs = sum(b * b + 2 * a * b for a, b in samples)
     rhs = (_sq_over(mu - x * gamma, y) + _sq_over(beta - mu, 1 - y)
            + 2 * beta * (lam + gamma) - x * gamma * gamma) * n
-    return CheckReport(True, lhs >= rhs - tol, lhs, rhs)
+    return CheckReport(True, lhs >= rhs, lhs, rhs)
 
 
 Edge = tuple[VertexRef, VertexRef]
@@ -332,8 +310,7 @@ def _mixed_four_cycle(g: BipartiteDigraph, R: frozenset[Edge],
 
 def bellsandwhistles_check(g: BipartiteDigraph, R: Iterable[Edge], S: Iterable[Edge],
                            params: IneqParams, X_set: Iterable[VertexRef],
-                           Y_set: Iterable[VertexRef],
-                           tol: float = 1e-9) -> CheckReport:
+                           Y_set: Iterable[VertexRef]) -> CheckReport:
     """Check the six on-graph hypotheses, then the conclusion inequality.
 
     On hypothesis-holding instances the conclusion must hold (the statement
@@ -361,28 +338,28 @@ def bellsandwhistles_check(g: BipartiteDigraph, R: Iterable[Edge], S: Iterable[E
 
     if beta < x * gamma or y * beta + x * (1 - y) * gamma > mu:
         raise HypothesisViolated("bullet 1", "parameter inequalities fail")
-    if any(m.bit_count() < beta * nb - tol for m in g.a_out):
+    if any(m.bit_count() < beta * nb for m in g.a_out):
         raise HypothesisViolated("bullet 2", "A-vertex with out-degree below beta|B|")
     gr = girth(g)
     if gr is not None and gr.length < 4:
         raise HypothesisViolated("bullet 3", "girth below four")
     if _mixed_four_cycle(g, R, S):
         raise HypothesisViolated("bullet 3", "4-cycle with an R-edge and a different S-edge")
-    if any(a < lam - tol for a in a_val):
+    if any(a < lam for a in a_val):
         raise HypothesisViolated("bullet 4", "some a(v) below lambda")
-    if len(X) > x * nb + tol:
+    if len(X) > x * nb:
         raise HypothesisViolated("bullet 5", "|X| exceeds x|B|")
-    if any(a_val[j] < gamma + lam - tol for j in range(nb) if j not in X):
+    if any(a_val[j] < gamma + lam for j in range(nb) if j not in X):
         raise HypothesisViolated("bullet 5", "a(v) below gamma+lambda off X")
-    if len(Y) > y * nb + tol:
+    if len(Y) > y * nb:
         raise HypothesisViolated("bullet 6", "|Y| exceeds y|B|")
     heads_in_y = sum(g.b_in[j].bit_count() for j in Y)
-    if heads_in_y < mu * na * nb - tol:
+    if heads_in_y < mu * na * nb:
         raise HypothesisViolated("bullet 6", "fewer than mu|A||B| edges head in Y")
 
     lhs = (_sq_over(mu - x * gamma, y) + _sq_over(beta - mu, 1 - y)
            + 2 * beta * (lam + gamma) - x * gamma * gamma)
-    return CheckReport(True, lhs <= beta + tol, lhs, beta)
+    return CheckReport(True, lhs <= beta, lhs, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ class SearchConfig:
     node_limit: int = DEFAULT_NODE_LIMIT
 
     def __post_init__(self):
-        if self.n_a < 1 or self.n_b < 1 or self.k < 1:
-            raise InfeasibleConfig("sizes and k must be positive")
+        if min(self.n_a, self.n_b, self.k, self.node_limit) < 1:
+            raise InfeasibleConfig("sizes, k and node_limit must be positive")
         if self.mode not in ("exhaustive", "randomized"):
             raise InfeasibleConfig(f"unknown mode {self.mode!r}")
         d_a = math.ceil(self.beta * self.n_b)
@@ -68,7 +68,6 @@ class SearchReport:
     status: SearchStatus
     witness: Optional[BipartiteDigraph]
     nodes_explored: int
-    canonical_classes_seen: int
     wall_time: float
     config: SearchConfig
 
@@ -76,10 +75,9 @@ class SearchReport:
         from .io import to_edge_list
         cfg = self.config
         return {
-            "schema_version": "1",
+            "schema_version": "2",
             "status": self.status.value,
             "nodes_explored": self.nodes_explored,
-            "canonical_classes_seen": self.canonical_classes_seen,
             "wall_time_ms": round(self.wall_time * 1000, 3),
             "witness": to_edge_list(self.witness) if self.witness else None,
             "config": {
@@ -345,8 +343,7 @@ def find_counterexample(cfg: SearchConfig) -> SearchReport:
                 break
         status = (SearchStatus.FoundCounterexample if witness
                   else SearchStatus.LimitReached)
-        return SearchReport(status, witness, nodes, 1 if witness else 0,
-                            time.perf_counter() - start, cfg)
+        return SearchReport(status, witness, nodes, time.perf_counter() - start, cfg)
 
     enum = _Enumerator(cfg)
     try:
@@ -360,9 +357,7 @@ def find_counterexample(cfg: SearchConfig) -> SearchReport:
         assert is_compliant(witness, cfg.alpha, cfg.beta)
         gr = girth(witness)
         assert gr is None or gr.length > 2 * cfg.k
-    return SearchReport(status, witness, enum.nodes,
-                        1 if witness is not None else 0,
-                        time.perf_counter() - start, cfg)
+    return SearchReport(status, witness, enum.nodes, time.perf_counter() - start, cfg)
 
 
 def verify_conjecture_small(k: int, n_max: int, *, eulerian: bool = False,

@@ -229,6 +229,7 @@ class TestMalformedInput:
         "negative": "digraph -1\n",
         "one_by_one": "bipartite 1 1\nA0 B0\nB0 A0\n",
         "general": "digraph 2\n0 1\n1 0\n",
+        "six_cycle": to_edge_list(circulant(2, 1, 1)),
     }
 
     @pytest.mark.parametrize("argv", [
@@ -243,6 +244,14 @@ class TestMalformedInput:
         ["construct", "ch-reduce", "{one_by_one}"],
         ["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
          "--beta", "1/3", "--threads", "2"],
+        ["construct", "random", "--na", "0", "--nb", "2", "--alpha", "1/2",
+         "--beta", "1/2"],
+        ["lemmas", "--stress", "newineq", "--count", "-3"],
+        ["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
+         "--beta", "1/3", "--node-limit", "0"],
+        ["audit", "bigset", "{six_cycle}", "--k", "2", "--alpha", "1/3",
+         "--beta", "1/3", "--delta", "3/2", "--vertex", "A0", "--horizon", "0"],
+        ["comply", "{six_cycle}", "--alpha=-1/3", "--beta=-1/3"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         paths = {}

@@ -146,3 +146,5 @@ class TestRandomCompliant:
         assert required_degrees(5, 3, Fraction(2, 5), Fraction(1, 2)) == (2, 2)
         with pytest.raises(InfeasibleDegree):
             required_degrees(2, 2, Fraction(3, 2), Fraction(1, 2))
+        with pytest.raises(NullDigraph):
+            required_degrees(0, 2, Fraction(1, 2), Fraction(1, 2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bipgirth import lemmas
 from bipgirth.constructions import circulant
 from bipgirth.digraph import B, Side, VertexRef, distance_power, from_edges
 from bipgirth.errors import (
@@ -31,6 +32,7 @@ from bipgirth.lemmas import (
     fact_scan,
     newineq_bound,
     newineq_min_oracle,
+    newineq_stress,
     random_newineq_instance,
     threshold_k,
 )
@@ -120,20 +122,24 @@ class TestNewineqBound:
 class TestOracle:
     def test_matches_case_b(self):
         inst = NewineqInstance(0, F(1, 2), F(3, 10), 0, 0)
-        assert abs(newineq_min_oracle(inst, 400) - 0.09) < 1e-6
+        assert newineq_min_oracle(inst) == F(9, 100)
 
     def test_matches_case_a(self):
         inst = NewineqInstance(1, 1, F(1, 5), F(1, 2), 0)
-        assert abs(newineq_min_oracle(inst, 400) - 0.09) < 1e-6
+        assert newineq_min_oracle(inst) == F(9, 100)
 
     def test_quadratic_mean_floor(self):
         rng = random.Random(41)
         for _ in range(20):
             x = rng.random()
             y = x + rng.random() * (1 - x)
-            beta = rng.random()
-            inst = NewineqInstance(x, y, beta, 0, 0)
-            assert newineq_min_oracle(inst, 40) >= beta * beta - 1e-6
+            inst = NewineqInstance(x, y, rng.random(), 0, 0)
+            assert newineq_min_oracle(inst) == inst.beta ** 2
+
+    def test_empty_feasible_set(self):
+        assert newineq_min_oracle(NewineqInstance(0, 1, F(1, 4), 0, F(1, 2))) is None
+        # y = 0 leaves the head px+q(y-x) at 0, below any positive mu
+        assert newineq_min_oracle(NewineqInstance(0, 0, F(1, 2), 0, F(1, 4))) is None
 
     def test_check_examples(self):
         assert check_newineq(NewineqInstance(1, 1, F(1, 5), F(1, 2), 0))
@@ -143,11 +149,42 @@ class TestOracle:
 
     @pytest.mark.parametrize("case", ["a", "b", "c"])
     def test_stress_sample(self, case):
-        rng = random.Random(ord(case))
+        assert newineq_stress(case, 300, ord(case)) == 0
+
+    @pytest.mark.parametrize("case", ["a", "b", "c"])
+    def test_min_equals_bound(self, case):
+        # cases a and c are attained; case b exactly when the unconstrained
+        # optimum (gamma+c, c, c) meets the head constraint
+        rng = random.Random(1000 + ord(case))
         for _ in range(300):
             inst = random_newineq_instance(case, rng)
-            bound = float(newineq_bound(inst, case))
-            assert newineq_min_oracle(inst, 10, rounds=2) >= bound - 1e-9
+            x, y, b, g, m = inst.x, inst.y, inst.beta, inst.gamma, inst.mu
+            low, bound = newineq_min_oracle(inst), newineq_bound(inst, case)
+            attained = case != "b" or x * g + y * (b - x * g) >= m
+            assert (low == bound) if attained else (low > bound)
+
+    def test_random_triples_never_beat_minimum(self):
+        # the independent reference: any feasible triple, including the
+        # boundary weights x = 0, y = x and y = 1, costs at least the minimum
+        rng = random.Random(44)
+        grid = [F(i, 6) for i in range(7)]
+        for _ in range(3000):
+            x, y = sorted(rng.choice(grid) for _ in range(2))
+            t = FeasibleTriple(*(F(rng.randint(0, 12), rng.randint(1, 6))
+                                 for _ in range(3)))
+            head = x * t.p + (y - x) * t.q
+            beta = head + (1 - y) * t.r
+            inst = NewineqInstance(x, y, beta, F(rng.randint(0, 12), 6),
+                                   head * F(rng.randint(0, 4), 4))
+            low = newineq_min_oracle(inst)
+            assert low is not None and f_value(inst, t) >= low
+
+    def test_planted_overstated_bound_is_caught(self, monkeypatch):
+        exact = lemmas.newineq_bound
+        monkeypatch.setattr(lemmas, "newineq_bound",
+                            lambda inst, case: exact(inst, case) + F(1, 10 ** 15))
+        # cases a and c are attained on every instance, so each one violates
+        assert newineq_stress("ac", 50, 1) == 100
 
 
 class TestAppliedineq:

@@ -133,6 +133,8 @@ class TestSearchConfig:
             SearchConfig(0, 3, 2, F(1, 3), F(1, 3))
         with pytest.raises(InfeasibleConfig):
             SearchConfig(3, 3, 2, F(1, 3), F(1, 3), mode="magic")
+        with pytest.raises(InfeasibleConfig):
+            SearchConfig(3, 3, 2, F(1, 3), F(1, 3), node_limit=0)
 
     def test_eulerian_balance(self):
         with pytest.raises(InfeasibleConfig):
@@ -211,7 +213,8 @@ class TestFindCounterexample:
         cfg = SearchConfig(3, 3, 2, F(1, 3), F(1, 3))
         rep = find_counterexample(cfg)
         blob = json.loads(json.dumps(rep.to_json_dict()))
-        assert blob["schema_version"] == "1"
+        assert blob["schema_version"] == "2"
+        assert "canonical_classes_seen" not in blob
         assert blob["status"] == "FoundCounterexample"
         assert blob["witness"].startswith("bipartite 3 3")
         assert blob["config"]["alpha"] == "1/3"
