@@ -180,8 +180,10 @@ def _fact_entry(fact_id: str) -> dict:
 def _cmd_lemmas(args) -> int:
     if args.stress:
         t0 = time.perf_counter()
-        violations = lemmas.newineq_stress("abc", args.count, args.seed)
-        out = {"stress": args.stress, "count": args.count, "seed": args.seed,
+        count = 1000 if args.count is None else args.count
+        seed = 7 if args.seed is None else args.seed
+        violations = lemmas.newineq_stress("abc", count, seed)
+        out = {"stress": args.stress, "count": count, "seed": seed,
                "violations": violations,
                "wall_time_ms": round((time.perf_counter() - t0) * 1000, 3)}
         print(json.dumps(out, indent=2))
@@ -306,8 +308,9 @@ def build_parser() -> _Parser:
     group.add_argument("--all", action="store_true")
     group.add_argument("--fact")
     group.add_argument("--stress", choices=["newineq"])
-    pf.add_argument("--count", type=_positive_int, default=1000)
-    pf.add_argument("--seed", type=int, default=7)
+    pf.add_argument("--count", type=_positive_int,
+                    help="instances with --stress (default 1000)")
+    pf.add_argument("--seed", type=int, help="seed with --stress (default 7)")
     pf.set_defaults(fn=_cmd_lemmas)
 
     pa = sub.add_parser("audit", help="replay a proved dichotomy on a digraph")
@@ -324,24 +327,40 @@ def build_parser() -> _Parser:
     return top
 
 
+# the options each audit needs; bigset may also take --horizon
+_AUDIT_NEEDS = {"bigset": ("k", "alpha", "beta", "delta", "vertex"),
+                "bigindeg": ("alpha", "beta"), "bells": ()}
+
+
+def _mode_error(args) -> Optional[str]:
+    """A required option the mode lacks, or the options given that it never reads."""
+    if args.command == "audit":
+        needs = _AUDIT_NEEDS[args.which]
+        missing = [f for f in needs if getattr(args, f) is None]
+        if missing:
+            return f"audit {args.which} requires --{', --'.join(missing)}"
+        takes = needs + ("horizon",) if args.which == "bigset" else needs
+        where = f"audit {args.which}"
+        unread = [f for f in ("k", "alpha", "beta", "delta", "vertex", "horizon")
+                  if f not in takes]
+    elif args.command == "lemmas" and not args.stress:
+        where, unread = "lemmas without --stress", ["count", "seed"]
+    else:
+        return None
+    ignored = [f for f in unread if getattr(args, f) is not None]
+    return f"{where} ignores --{', --'.join(ignored)}" if ignored else None
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if args.command == "audit" and args.which == "bigset":
-        missing = [f for f in ("k", "alpha", "beta", "delta", "vertex")
-                   if getattr(args, f) is None]
-        if missing:
-            print(f"error: audit bigset requires --{', --'.join(missing)}",
-                  file=sys.stderr)
-            return 1
-    if args.command == "audit" and args.which == "bigindeg":
-        if args.alpha is None or args.beta is None:
-            print("error: audit bigindeg requires --alpha and --beta",
-                  file=sys.stderr)
-            return 1
+    error = _mode_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except (BipgirthError, OSError, ValueError) as exc:

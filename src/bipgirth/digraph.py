@@ -7,6 +7,7 @@ degree comparisons are done with exact rationals; nothing here rounds.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,6 +21,9 @@ from .errors import (
     NullDigraph,
     SameSideEdge,
 )
+
+
+_LABEL = re.compile(r"([AB])([0-9]+)")  # a vertex label: side, ASCII index
 
 
 class Side(Enum):
@@ -41,9 +45,10 @@ class VertexRef:
 
     @staticmethod
     def parse(text: str) -> "VertexRef":
-        if len(text) < 2 or text[0] not in "AB" or not text[1:].isdigit():
+        m = _LABEL.fullmatch(text)
+        if m is None:
             raise ValueError(f"bad vertex label {text!r}")
-        return VertexRef(Side(text[0]), int(text[1:]))
+        return VertexRef(Side(m[1]), int(m[2]))
 
 
 def A(i: int) -> VertexRef:
@@ -157,25 +162,27 @@ def _transpose(rows: tuple[int, ...], n_cols_out: int, n_rows: int) -> tuple[int
     return tuple(cols)
 
 
+def _bipartite(a_size: int, b_size: int, arcs) -> BipartiteDigraph:
+    """The one validating builder; arcs are (tail side, tail, head side, head)."""
+    if a_size < 1 or b_size < 1:
+        raise NullDigraph(f"need both sides nonempty, got {a_size}x{b_size}")
+    rows = {"A": [0] * a_size, "B": [0] * b_size}
+    for ts, t, hs, h in arcs:
+        if ts == hs:
+            raise SameSideEdge(f"{ts}{t} -> {hs}{h}")
+        tail = rows[ts]
+        if not (0 <= t < len(tail) and 0 <= h < len(rows[hs])):
+            raise IndexOutOfRange(
+                f"{ts}{t} -> {hs}{h} out of range for sides {a_size}x{b_size}")
+        tail[t] |= 1 << h
+    return BipartiteDigraph(a_size, b_size, tuple(rows["A"]), tuple(rows["B"]))
+
+
 def from_edges(a_size: int, b_size: int,
                edges: Iterable[tuple[VertexRef, VertexRef]]) -> BipartiteDigraph:
     """Build a bipartite digraph from an explicit edge list (deduplicated)."""
-    if a_size < 1 or b_size < 1:
-        raise NullDigraph(f"need both sides nonempty, got {a_size}x{b_size}")
-    a_out = [0] * a_size
-    b_out = [0] * b_size
-    for u, v in edges:
-        if u.side is v.side:
-            raise SameSideEdge(f"{u} -> {v}")
-        for w in (u, v):
-            limit = a_size if w.side is Side.A else b_size
-            if not 0 <= w.index < limit:
-                raise IndexOutOfRange(f"{w} out of range for side size {limit}")
-        if u.side is Side.A:
-            a_out[u.index] |= 1 << v.index
-        else:
-            b_out[u.index] |= 1 << v.index
-    return BipartiteDigraph(a_size, b_size, tuple(a_out), tuple(b_out))
+    return _bipartite(a_size, b_size, ((u.side.value, u.index, v.side.value, v.index)
+                                       for u, v in edges))
 
 
 def general_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> GeneralDigraph:
@@ -185,8 +192,6 @@ def general_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> GeneralDigra
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise ValueError(f"loop at vertex {i}")
         out[i] |= 1 << j
     return GeneralDigraph(n, tuple(out))
 
@@ -200,14 +205,15 @@ class Girth(NamedTuple):
     cycle: tuple  # vertex sequence (VertexRef or int), length == cycle length
 
 
-def _unified(g: AnyDigraph) -> tuple[int, list[int]]:
-    """A single 0..n-1 numbering with bitmask adjacency (A first for bipartite)."""
+def _unified(g: AnyDigraph) -> tuple[int, list[int], range]:
+    """A single 0..n-1 numbering with bitmask adjacency (A first for
+    bipartite), and vertices that meet every cycle: all, or the smaller side."""
     if isinstance(g, GeneralDigraph):
-        return g.n, list(g.out)
-    a = g.a_size
+        return g.n, list(g.out), range(g.n)
+    a, n = g.a_size, g.a_size + g.b_size
     adj = [m << a for m in g.a_out]
     adj.extend(g.b_out)
-    return a + g.b_size, adj
+    return n, adj, range(a) if a <= g.b_size else range(a, n)
 
 
 def _label(g: AnyDigraph, v: int):
@@ -219,18 +225,21 @@ def _label(g: AnyDigraph, v: int):
 def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
     """(length, start) of a shortest directed cycle, or None if acyclic.
 
-    `start` lies on such a cycle, numbered A-vertices first, then B.
-    Per-start BFS with bit-parallel frontier expansion; starts are taken in
-    descending out-degree order so the cutoff tightens early.
+    `start` lies on such a cycle, numbered A-vertices first, then B.  Each
+    start, in descending out-degree order so the cutoff tightens early, runs
+    a bit-parallel BFS over the vertices still alive, then dies.  One side of
+    a bipartite digraph suffices, as every cycle alternates sides.  Dying
+    keeps the girth: when the first start u on a shortest cycle C runs, no
+    dead start lies on C, so u's BFS finds |C| unless the cutoff is there.
     """
-    n, adj = _unified(g)
+    n, adj, starts = _unified(g)
     best: Optional[tuple[int, int]] = None
-    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    for v in order:
+    dead = 0
+    for v in sorted(starts, key=lambda v: -adj[v].bit_count()):
         cap = best[0] - 1 if best is not None else n
         vbit = 1 << v
-        frontier = adj[v]
-        visited = vbit | frontier
+        frontier = adj[v] & ~dead
+        visited = dead | vbit | frontier
         depth = 1
         while frontier and depth < cap:
             nxt = _expand(adj, frontier)
@@ -242,6 +251,7 @@ def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
                 break
             frontier = nxt & ~visited
             visited |= nxt
+        dead |= vbit
     return best
 
 
@@ -270,7 +280,7 @@ def girth(g: AnyDigraph) -> Optional[Girth]:
     if found is None:
         return None
     length, start = found
-    _, adj = _unified(g)
+    _, adj, _ = _unified(g)
     cycle = _cycle_through(adj, start, length)
     return Girth(length, tuple(_label(g, u) for u in cycle))
 
@@ -298,6 +308,8 @@ class LayerProfile:
 def forward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int,
                    _direction: Direction = Direction.forward) -> LayerProfile:
     """Exact-distance layers from v by level-synchronous bitmask expansion."""
+    if max_i < 0:
+        raise IndexOutOfRange(f"max_i={max_i} is below 0")
     size = g.a_size if v.side is Side.A else g.b_size
     if not 0 <= v.index < size:
         raise IndexOutOfRange(f"{v} out of range for side size {size}")

@@ -13,14 +13,19 @@ General format:
 
 from __future__ import annotations
 
+import re
+
 from .digraph import (
+    _LABEL,
     AnyDigraph,
     GeneralDigraph,
-    VertexRef,
+    _bipartite,
     _bits,
-    from_edges,
     general_from_edges,
 )
+
+_ARC = re.compile(rf"{_LABEL.pattern}\s+{_LABEL.pattern}")
+_PAIR = re.compile(r"()([0-9]+)\s+()([0-9]+)")  # an _ARC with empty sides
 
 
 def to_edge_list(g: AnyDigraph) -> str:
@@ -40,21 +45,30 @@ def to_edge_list(g: AnyDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _arcs(lines, pattern):
+    """(tail side, tail, head side, head) from each nonblank numbered line."""
+    for no, ln in lines:
+        ln = ln.strip()
+        m = pattern.fullmatch(ln)
+        if m is not None:
+            yield m[1], int(m[2]), m[3], int(m[4])
+        elif ln:
+            raise ValueError(f"line {no}: expected two vertex labels, got {ln!r}")
+
+
 def parse_edge_list(text: str) -> AnyDigraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = enumerate(text.splitlines(), 1)
+    head = next((ln for _, ln in lines if ln.strip()), None)
+    if head is None:
         raise ValueError("empty digraph file")
-    kind, *sizes = lines[0].split()
-    if kind == "bipartite" and len(sizes) == 2:
-        edges = []
-        for ln in lines[1:]:
-            t, h = ln.split()
-            edges.append((VertexRef.parse(t), VertexRef.parse(h)))
-        return from_edges(int(sizes[0]), int(sizes[1]), edges)
-    if kind == "digraph" and len(sizes) == 1:
-        edges = [(int(t), int(h)) for t, h in (ln.split() for ln in lines[1:])]
-        return general_from_edges(int(sizes[0]), edges)
-    raise ValueError(f"bad header {lines[0]!r}: expected "
+    kind, *sizes = head.split()
+    if all(x.isascii() and x.isdigit() for x in sizes):
+        if kind == "bipartite" and len(sizes) == 2:
+            return _bipartite(int(sizes[0]), int(sizes[1]), _arcs(lines, _ARC))
+        if kind == "digraph" and len(sizes) == 1:
+            pairs = ((t, h) for _, t, _, h in _arcs(lines, _PAIR))
+            return general_from_edges(int(sizes[0]), pairs)
+    raise ValueError(f"bad header {head.strip()!r}: expected "
                      "'bipartite <a_size> <b_size>' or 'digraph <n>'")
 
 

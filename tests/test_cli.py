@@ -88,6 +88,11 @@ class TestGirthAndLayers:
         assert lines[0] == "0: A0"
         assert lines[1].startswith("1: B")
 
+    def test_layers_depth_zero(self, six_cycle_file, capsys):
+        rc = main(["layers", six_cycle_file, "--vertex", "B1", "--max", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == "0: B1\n"
+
     def test_bad_vertex(self, six_cycle_file, capsys):
         rc = main(["layers", six_cycle_file, "--vertex", "Q7"])
         assert rc == 1
@@ -178,6 +183,11 @@ class TestLemmas:
         blob = json.loads(capsys.readouterr().out)
         assert blob["violations"] == 0
 
+    def test_stress_default_seed(self, capsys):
+        rc = main(["lemmas", "--stress", "newineq", "--count", "20"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+
 
 class TestAudit:
     def test_bigset(self, six_cycle_file, capsys):
@@ -230,6 +240,8 @@ class TestMalformedInput:
         "one_by_one": "bipartite 1 1\nA0 B0\nB0 A0\n",
         "general": "digraph 2\n0 1\n1 0\n",
         "six_cycle": to_edge_list(circulant(2, 1, 1)),
+        "extra_token": "bipartite 1 1\nA0 B0 junk\n",
+        "arabic_digit": "bipartite 2 2\nA\u0661 B0\n",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -254,14 +266,37 @@ class TestMalformedInput:
         ["comply", "{six_cycle}", "--alpha=-1/3", "--beta=-1/3"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
+        assert self.run(argv, tmp_path, capsys).startswith("error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["girth", "{extra_token}"],
+         "error: line 2: expected two vertex labels, got 'A0 B0 junk'"),
+        (["girth", "{arabic_digit}"],
+         "error: line 2: expected two vertex labels, got 'A\u0661 B0'"),
+        (["layers", "{six_cycle}", "--vertex", "A0", "--max", "-1"],
+         "error: max_i=-1 is below 0"),
+        (["lemmas", "--fact", "F4", "--count", "5"],
+         "error: lemmas without --stress ignores --count"),
+        (["audit", "bells", "{six_cycle}", "--horizon", "3", "--k", "9"],
+         "error: audit bells ignores --k, --horizon"),
+        (["audit", "bigindeg", "{six_cycle}", "--alpha", "1/3", "--beta", "1/3",
+          "--vertex", "A0"], "error: audit bigindeg ignores --vertex"),
+    ], ids=["extra_token", "arabic_digit", "negative_max", "lemmas_count",
+            "bells_options", "bigindeg_vertex"])
+    def test_message_names_the_cause(self, argv, message, tmp_path, capsys):
+        assert self.run(argv, tmp_path, capsys) == message
+
+    def run(self, argv, tmp_path, capsys):
+        """The one stderr line of a command that must exit 1."""
         paths = {}
         for name, text in self.FILES.items():
             paths[name] = tmp_path / f"{name}.txt"
-            paths[name].write_text(text)
+            paths[name].write_text(text, encoding="utf-8")
         rc = main([a.format(**paths) for a in argv])
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1
+        return err[0]
 
 
 _JUNK = [None, "-1", "0", "50", "A50", "B49", "C0", "x", "1/2", "digraph"]
@@ -271,7 +306,7 @@ _JUNK = [None, "-1", "0", "50", "A50", "B49", "C0", "x", "1/2", "digraph"]
 @settings(max_examples=300, deadline=None)
 def test_token_files_exit_0_or_1(tmp_path_factory, data):
     # a valid edge list, then up to three tokens replaced or deleted; every
-    # size stays at most 50 because from_edges allocates its rows up front
+    # size stays at most 50 because the row builder allocates its rows up front
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     if data.draw(st.booleans()):
         header = ["bipartite", str(n), str(m)]

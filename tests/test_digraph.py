@@ -21,6 +21,7 @@ from bipgirth.digraph import (
     general_from_edges,
     girth,
     is_compliant,
+    shortest_cycle_length,
     star_union,
 )
 from bipgirth.constructions import circulant, layered_cycle, offset_circulant, OffsetSpec
@@ -46,7 +47,7 @@ class TestVertexRef:
             assert str(VertexRef.parse(text)) == text
 
     def test_parse_rejects_garbage(self):
-        for text in ("C0", "A", "3", "a0", "A-1"):
+        for text in ("C0", "A", "3", "a0", "A-1", "A\u0661", "B\uff11"):
             with pytest.raises(ValueError):
                 VertexRef.parse(text)
 
@@ -69,6 +70,22 @@ class TestConstruction:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             from_edges(2, 2, [(A(0), B(5))])
+
+    def test_index_boundaries(self):
+        # sides of sizes 2 and 3: each end of an arc at -1, at the last
+        # index of its side and one past it
+        size = {Side.A: 2, Side.B: 3}
+        for arc in ((A(0), B(0)), (B(0), A(0))):
+            for end in (0, 1):
+                side = arc[end].side
+                for i in (-1, size[side] - 1, size[side]):
+                    edge = list(arc)
+                    edge[end] = VertexRef(side, i)
+                    if i == size[side] - 1:
+                        assert from_edges(2, 3, [tuple(edge)]).edge_count == 1
+                    else:
+                        with pytest.raises(IndexOutOfRange):
+                            from_edges(2, 3, [tuple(edge)])
 
     def test_general_rejects_loops(self):
         with pytest.raises(ValueError):
@@ -120,12 +137,61 @@ class TestGirth:
             expect = brute_girth(g)
             assert (gr.length if gr else None) == expect
 
+    # shortest_cycle_length starts its BFS on the smaller side only and drops
+    # each finished start; these shapes would expose a wrong side or a start
+    # dropped too early
+
+    @staticmethod
+    def check_against_enumeration(g):
+        gr = girth(g)
+        assert (gr.length if gr else None) == brute_girth(g)
+        if gr is None:
+            assert shortest_cycle_length(g) is None
+            return
+        cyc = gr.cycle
+        assert len(cyc) == gr.length == len(set(cyc))
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            if isinstance(g, GeneralDigraph):
+                assert g.out[u] >> v & 1
+            else:
+                assert g.has_edge(u, v)
+        return gr
+
+    def test_unbalanced_sides(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            g = random_bipartite(rng, max_side=7)
+            if g.a_size == g.b_size:
+                continue
+            gr = self.check_against_enumeration(g)
+            if gr is not None:
+                smaller = Side.A if g.a_size < g.b_size else Side.B
+                assert gr.cycle[0].side is smaller
+
+    def test_b_degrees_above_a_degrees(self):
+        # every B-vertex has a larger out-degree than every A-vertex, so the
+        # descending-degree order of all vertices would put B first
+        rng = random.Random(22)
+        for _ in range(150):
+            na, nb = rng.randint(3, 7), rng.randint(1, 7)
+            a_deg = rng.randint(0, min(nb, na - 1))
+            a_out = tuple(sum(1 << j for j in rng.sample(range(nb), a_deg))
+                          for _ in range(na))
+            b_out = tuple(sum(1 << i for i in rng.sample(range(na), rng.randint(a_deg + 1, na)))
+                          for _ in range(nb))
+            g = BipartiteDigraph(na, nb, a_out, b_out)
+            gr = self.check_against_enumeration(g)
+            if gr is not None and na <= nb:
+                assert gr.cycle[0].side is Side.A
+
     def test_general_against_enumeration(self):
         rng = random.Random(8)
         for _ in range(100):
-            h = random_general(rng)
-            gr = girth(h)
-            assert (gr.length if gr else None) == brute_girth(h)
+            self.check_against_enumeration(random_general(rng))
+
+    def test_pinned_large_girths(self):
+        assert girth(circulant(30, 10, 10)).length == 62
+        assert girth(layered_cycle(60, 20)).length == 122
 
     def test_bipartite_parity(self):
         rng = random.Random(9)
@@ -166,6 +232,13 @@ class TestLayers:
         prof = forward_layers(circulant(3, 1, 1), A(0), 8)
         assert star_union(prof, 5) == prof.layers[1] | prof.layers[3] | prof.layers[5]
         assert star_union(prof, 4) == prof.layers[2] | prof.layers[4]
+
+    def test_negative_depth(self):
+        with pytest.raises(IndexOutOfRange):
+            forward_layers(six_cycle(), A(0), -1)
+        with pytest.raises(IndexOutOfRange):
+            backward_layers(six_cycle(), A(0), -1)
+        assert forward_layers(six_cycle(), A(0), 0).layers == (frozenset([A(0)]),)
 
     def test_star_union_range(self):
         prof = forward_layers(six_cycle(), A(0), 4)
