@@ -32,12 +32,17 @@ from .digraph import (
 from .errors import BipgirthError
 from .io import parse_edge_list, to_dot, to_edge_list
 
-_RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
+# Numbers on the command line are ASCII digits, as vertex labels are
+# (`digraph._LABEL`): `\d`, `str.isdecimal` and `int` also take the digits of
+# other scripts, and `int` takes underscores and spaces.
+_NATURAL_RE = re.compile("[0-9]+")
+_INTEGER_RE = re.compile("-?[0-9]+")
+_RATIONAL_RE = re.compile("[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """A nonnegative p/q rational: every rational option is nonnegative."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a nonnegative p/q rational (decimals are rejected)")
     try:
@@ -46,10 +51,28 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
 
 
+def _natural(text: str) -> int:
+    if not _NATURAL_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not _NATURAL_RE.fullmatch(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
+
+
+def _integer(text: str) -> int:
+    """For the options that take a negative value: seeds, offsets (taken
+    modulo n) and `layers --max` (whose check names the depth)."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _offsets(text: str) -> frozenset[int]:
+    return frozenset(_integer(x) for x in text.split(","))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,11 +113,8 @@ def _cmd_construct(args) -> int:
     elif which == "circulant":
         g = constructions.circulant(args.k, args.s, args.t)
     elif which == "offset":
-        spec = constructions.OffsetSpec(
-            args.n,
-            frozenset(int(x) for x in args.out_offsets.split(",")),
-            frozenset(int(y) for y in args.in_offsets.split(",")))
-        g = constructions.offset_circulant(spec)
+        g = constructions.offset_circulant(constructions.OffsetSpec(
+            args.n, args.out_offsets, args.in_offsets))
     elif which == "ch-reduce":
         g = constructions.ch_reduce(_load(args.file, GeneralDigraph))
     else:
@@ -237,26 +257,26 @@ def build_parser() -> _Parser:
         fp.add_argument("--format", choices=["edge-list", "dot"],
                         default="edge-list")
         if name == "layered":
-            fp.add_argument("--k", type=int, required=True)
-            fp.add_argument("--t", type=int, required=True)
+            fp.add_argument("--k", type=_natural, required=True)
+            fp.add_argument("--t", type=_natural, required=True)
         elif name == "circulant":
-            fp.add_argument("--k", type=int, required=True)
-            fp.add_argument("--s", type=int, required=True)
-            fp.add_argument("--t", type=int, required=True)
+            fp.add_argument("--k", type=_natural, required=True)
+            fp.add_argument("--s", type=_natural, required=True)
+            fp.add_argument("--t", type=_natural, required=True)
         elif name == "offset":
-            fp.add_argument("--n", type=int, required=True)
-            fp.add_argument("--out-offsets", required=True,
+            fp.add_argument("--n", type=_natural, required=True)
+            fp.add_argument("--out-offsets", type=_offsets, required=True,
                             help="comma-separated residues for A->B")
-            fp.add_argument("--in-offsets", required=True,
+            fp.add_argument("--in-offsets", type=_offsets, required=True,
                             help="comma-separated residues for B->A")
         elif name == "ch-reduce":
             fp.add_argument("file", help="general digraph edge-list file")
         else:
-            fp.add_argument("--na", type=int, required=True)
-            fp.add_argument("--nb", type=int, required=True)
+            fp.add_argument("--na", type=_natural, required=True)
+            fp.add_argument("--nb", type=_natural, required=True)
             fp.add_argument("--alpha", type=parse_rational, required=True)
             fp.add_argument("--beta", type=parse_rational, required=True)
-            fp.add_argument("--seed", type=int, default=0)
+            fp.add_argument("--seed", type=_integer, default=0)
     pc.set_defaults(fn=_cmd_construct)
 
     pg = sub.add_parser("girth", help="shortest directed cycle")
@@ -266,7 +286,7 @@ def build_parser() -> _Parser:
     pl = sub.add_parser("layers", help="distance layers from a vertex")
     pl.add_argument("file")
     pl.add_argument("--vertex", required=True)
-    pl.add_argument("--max", type=int, default=8)
+    pl.add_argument("--max", type=_integer, default=8)
     pl.add_argument("--backward", action="store_true")
     pl.set_defaults(fn=_cmd_layers)
 
@@ -277,28 +297,28 @@ def build_parser() -> _Parser:
     pm.set_defaults(fn=_cmd_comply)
 
     pk = sub.add_parser("classify", help="good/bad/unknown verdict")
-    pk.add_argument("--k", type=int, required=True)
+    pk.add_argument("--k", type=_natural, required=True)
     pk.add_argument("--alpha", type=parse_rational, required=True)
     pk.add_argument("--beta", type=parse_rational, required=True)
     pk.set_defaults(fn=_cmd_classify)
 
     pr = sub.add_parser("region", help="classified grid as CSV or SVG")
-    pr.add_argument("--k", type=int, required=True)
-    pr.add_argument("--resolution", type=int, required=True)
+    pr.add_argument("--k", type=_natural, required=True)
+    pr.add_argument("--resolution", type=_natural, required=True)
     pr.add_argument("--format", choices=["csv", "svg"], default="csv")
     pr.add_argument("--out", default="-")
     pr.set_defaults(fn=_cmd_region)
 
     ps = sub.add_parser("search", help="counterexample search (JSON report)")
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--na", type=int, required=True)
-    ps.add_argument("--nb", type=int, required=True)
+    ps.add_argument("--k", type=_natural, required=True)
+    ps.add_argument("--na", type=_natural, required=True)
+    ps.add_argument("--nb", type=_natural, required=True)
     ps.add_argument("--alpha", type=parse_rational, required=True)
     ps.add_argument("--beta", type=parse_rational, required=True)
     ps.add_argument("--eulerian", action="store_true")
     ps.add_argument("--mode", choices=["exhaustive", "random"],
                     default="exhaustive")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_integer, default=0)
     ps.add_argument("--node-limit", type=_positive_int,
                     default=search.DEFAULT_NODE_LIMIT)
     ps.set_defaults(fn=_cmd_search)
@@ -310,13 +330,13 @@ def build_parser() -> _Parser:
     group.add_argument("--stress", choices=["newineq"])
     pf.add_argument("--count", type=_positive_int,
                     help="instances with --stress (default 1000)")
-    pf.add_argument("--seed", type=int, help="seed with --stress (default 7)")
+    pf.add_argument("--seed", type=_integer, help="seed with --stress (default 7)")
     pf.set_defaults(fn=_cmd_lemmas)
 
     pa = sub.add_parser("audit", help="replay a proved dichotomy on a digraph")
     pa.add_argument("which", choices=["bigset", "bigindeg", "bells"])
     pa.add_argument("file")
-    pa.add_argument("--k", type=int)
+    pa.add_argument("--k", type=_natural)
     pa.add_argument("--alpha", type=parse_rational)
     pa.add_argument("--beta", type=parse_rational)
     pa.add_argument("--delta", type=parse_rational)

@@ -1,11 +1,13 @@
 """Closed-form inequality lab: quadratic lower bounds, summation checks,
 the large-k threshold, delta constants, and the numeric fact catalog.
 
-All arithmetic is exact (`Fraction`).  The fact scans evaluate at grid
-points, so their results are evidence at the stated resolution, not
-proofs.  The quadratic minimiser is deliberately independent of the bound
-formulas: it solves the minimisation in closed form and certifies its
-minimising triple as feasible, so "minimum >= bound" is an exact check.
+All arithmetic is exact (`Fraction`, or `int` in cleared form).  The fact
+scan decides each interval fact at the points of a grid in integers, with
+its denominators cleared by a multiplier positive on its interval; its
+results are still evidence at the stated resolution, not proofs.  The
+quadratic minimiser is deliberately independent of the bound formulas: it
+solves the minimisation in closed form and certifies its minimising triple
+as feasible, so "minimum >= bound" is an exact check.
 """
 
 from __future__ import annotations
@@ -429,103 +431,111 @@ class FactReport:
 
 
 def _grid(lo: Fraction, hi: Fraction, step: Fraction,
-          open_lo: bool, open_hi: bool):
-    # walk in exact multiples of step starting at the first in-range point
+          open_lo: bool, open_hi: bool) -> range:
+    # the multipliers m whose point m*step lies in the interval
     start = math.ceil(lo / step)
-    if open_lo and Fraction(start) * step == lo:
+    if open_lo and start * step == lo:
         start += 1
     stop = math.floor(hi / step)
-    if open_hi and Fraction(stop) * step == hi:
+    if open_hi and stop * step == hi:
         stop -= 1
-    for m in range(start, stop + 1):
-        yield m * step
+    return range(start, stop + 1)
 
 
-PointCheck = Callable[[Fraction], tuple[bool, Optional[Fraction]]]
+# An interval fact is decided at b = n/d (d > 0) in integers: each check
+# clears its denominators by a multiplier that is positive on the fact's
+# interval, and returns its margin as a pair (num, den) with den > 0.
+IntervalCheck = Callable[[int, int], tuple[bool, Optional[tuple[int, int]]]]
 
 
-def _f1(b):
-    if (3 * b - Fraction(1, 2)) * (1 - b) >= (1 - 2 * b) * b:
-        return b > Fraction(219, 1000), b - Fraction(219, 1000)
+def _f1(n, d):
+    # (3b - 1/2)(1 - b) >= (1 - 2b)b times 2d^2 > 0
+    if (6 * n - d) * (d - n) >= 2 * (d - 2 * n) * n:
+        return 1000 * n > 219 * d, (1000 * n - 219 * d, 1000 * d)
     return True, None
 
 
-def _f2(b):
-    if b * DELTA3 <= (1 - b * DELTA3) / (1 - 2 * b):
-        return b < Fraction(223, 1000), Fraction(223, 1000) - b
+def _f2(n, d):
+    # b*delta3 <= (1 - b*delta3)/(1 - 2b) times 1000d^2(1 - 2b) > 0 on (0, 0.223]
+    if 2886 * n * (d - 2 * n) <= d * (1000 * d - 2886 * n):
+        return 1000 * n < 223 * d, (223 * d - 1000 * n, 1000 * d)
     return True, None
 
 
-def _f3(b):
-    m = (1 - 2 * b) * b / (3 * b - Fraction(1, 2)) - (1 - b * DELTA3) / (1 - 2 * b)
-    return m >= 0, m
+def _f3(n, d):
+    # (1 - 2b)b/(3b - 1/2) - (1 - b*delta3)/(1 - 2b) over 1000d(6n - d)(d - 2n),
+    # which is > 0 as 1/6 < b < 1/2
+    num = 2000 * n * (d - 2 * n) ** 2 - d * (6 * n - d) * (1000 * d - 2886 * n)
+    return num >= 0, (num, 1000 * d * (6 * n - d) * (d - 2 * n))
 
 
-def _f4(_b):
+def _f4():
     m = Fraction(258, 1000) - 1 / (1 + DELTA3)
     return m > 0, m
 
 
-def _f5(b):
-    m = (1 - b * DELTA4) - (b / 5 + Fraction(9) / (3 + 5 * b) - 2)
-    return m > 0, m
+def _f5(n, d):
+    # (1 - b*delta4) - (b/5 + 9/(3 + 5b) - 2) over 10000d(3d + 5n) > 0, as b > 0
+    num = (3 * d + 5 * n) * (30000 * d - 36814 * n) - 90000 * d * d
+    return num > 0, (num, 10000 * d * (3 * d + 5 * n))
 
 
-def _f6(b):
-    if (Fraction(4, 5) - 2 * b) * b <= (1 - b) * (1 / DELTA4 - b):
-        return b < Fraction(19, 100), Fraction(19, 100) - b
+def _f6(n, d):
+    # (4/5 - 2b)b <= (1 - b)(1/delta4 - b) times 5*34814*d^2 > 0
+    if 34814 * n * (4 * d - 10 * n) <= 5 * (d - n) * (10000 * d - 34814 * n):
+        return 100 * n < 19 * d, (19 * d - 100 * n, 100 * d)
     return True, None
 
 
-def _f7(b):
-    m1 = 5 * b / (3 + 5 * b) + 3 * b / 5 - Fraction(32, 100)
-    m2 = (Fraction(2, 5) - b) * (Fraction(3, 5) + 1 / (1 - b)) - Fraction(38, 100)
-    return m1 >= 0 and m2 >= 0, min(m1, m2)
+def _f7(n, d):
+    # m1 = 5b/(3 + 5b) + 3b/5 - 0.32 over 100d(3d + 5n) > 0, as b > 0;
+    # m2 = (2/5 - b)(3/5 + 1/(1 - b)) - 0.38 over 100d(d - n) > 0, as b < 1
+    m1 = (500 * n * d + (3 * d + 5 * n) * (60 * n - 32 * d), 100 * d * (3 * d + 5 * n))
+    m2 = (4 * (2 * d - 5 * n) * (8 * d - 3 * n) - 38 * d * (d - n), 100 * d * (d - n))
+    low = m1 if m1[0] * m2[1] <= m2[0] * m1[1] else m2
+    return m1[0] >= 0 and m2[0] >= 0, low
 
 
-def _f8(b):
-    # the final display of the girth-8 argument must exceed 1 throughout;
-    # the left side is concave in alpha, so its minimum over the admissible
-    # range [2/5 - beta, 1/2] is at an endpoint
-    xp = (b * (DELTA4 + 1) - Fraction(1, 2)) / (b * (DELTA4 + 1) - Fraction(32, 100))
+def _f8(n, d):
+    # the final display of the girth-8 argument must exceed 1 throughout; the
+    # left side is concave in alpha, so its minimum over [2/5 - beta, 1/2] is
+    # at an endpoint.  With xp = p/q and u = 2*alpha - 0.38 = w/(50d) there,
+    # the display minus 1 is num/(25dnq^2); 25dnq^2 > 0, as b > 0.17 > 0.072
+    # makes n > 0 and q > 0
+    p = 44814 * n - 5000 * d
+    q = 44814 * n - 3200 * d
+    num = min(w * p * (n * q - 18 * w * d) for w in (21 * d - 100 * n, 31 * d))
+    num += n * q * q * (25 * n - 6 * d)
+    return num > 0, (num, 25 * d * n * q * q)
 
-    def lhs(alpha):
-        u = 2 * alpha - Fraction(38, 100)
-        return u * xp * (2 - u * (1 - xp) / b) + Fraction(76, 100) + b
 
-    m = min(lhs(Fraction(2, 5) - b), lhs(Fraction(1, 2))) - 1
-    return m > 0, m
-
-
-def _f9(_b):
+def _f9():
     m1 = DELTA12 / 49 - Fraction(2667, 10000) * Fraction(3993, 10000)
     m2 = Fraction(2667, 10000) - (1 - DELTA12 / 7)
     return m1 >= 0 and m2 > 0, min(m1, m2)
 
 
-_F10_RATIOS = [Fraction(1, 2), Fraction(3, 4), DELTA3 / 3,
-               1 - Fraction(74, 224539)]
+# representative values c = delta/k: 1/2, 3/4, delta3/3, 1 - 74/224539
+_F10_RATIOS = ((1, 2), (3, 4), (2886, 3000), (224465, 224539))
 
 
-def _f10(xi):
-    # out-degree-counting step as a biconditional in the ratio xi = |X|/|B|,
-    # for representative values c = delta/k
-    for c in _F10_RATIOS:
-        premise = c <= xi / 2 + (1 - xi)
-        conclusion = xi <= 2 * (1 - c)
-        if premise != conclusion:
+def _f10(n, d):
+    # out-degree-counting step as a biconditional in the ratio xi = |X|/|B|:
+    # c <= xi/2 + (1 - xi) times 2d*cd > 0 iff xi <= 2(1 - c) times d*cd > 0
+    for cn, cd in _F10_RATIOS:
+        if (2 * d * cn <= cd * (2 * d - n)) != (n * cd <= 2 * d * (cd - cn)):
             return False, None
     return True, None
 
 
-def _f11(b):
-    lhs_holds = Fraction(36, 100) + 2 * b + (6 * b - Fraction(64, 100)) / 5 <= 1
-    return lhs_holds == (b <= Fraction(24, 100)), None
+def _f11(n, d):
+    # 0.36 + 2b + (6b - 0.64)/5 <= 1 times 500d > 0, iff b <= 0.24 times 100d > 0
+    return (1600 * n + 116 * d <= 500 * d) == (100 * n <= 24 * d), None
 
 
 @dataclass(frozen=True)
 class _Fact:
-    check: PointCheck
+    check: Callable  # an IntervalCheck, or no argument for a point fact (lo == hi)
     lo: Fraction
     hi: Fraction
     open_lo: bool
@@ -560,28 +570,32 @@ _CATALOG: dict[str, _Fact] = {
 
 
 def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
-    """Evaluate a catalogued fact at every grid point of its interval."""
+    """Decide a catalogued fact at every grid point m*step of its interval.
+
+    With step = p/q the check sees the point as (m*p, q); margins are
+    compared by cross-multiplication, and only the reported first violation
+    and least margin become Fractions."""
     fact = _CATALOG.get(fact_id)
     if fact is None:
         raise UnknownFact(f"no fact {fact_id!r} (known: {sorted(_CATALOG)})")
     if fact.lo == fact.hi:
-        points = [fact.lo]  # point facts: a single exact evaluation
-    else:
-        points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
-    holds = True
-    first_violation = None
-    margin_min = None
-    count = 0
-    for b in points:
-        count += 1
-        ok, margin = fact.check(b)
-        if not ok and holds:
-            holds = False
-            first_violation = b
-        if margin is not None and (margin_min is None or margin < margin_min):
-            margin_min = margin
-    return FactReport(fact_id, fact.description, holds, first_violation,
-                      margin_min, step, count)
+        ok, margin = fact.check()  # point facts: a single exact evaluation
+        return FactReport(fact_id, fact.description, ok, None if ok else fact.lo,
+                          margin, step, 1)
+    p, q = step.numerator, step.denominator
+    check = fact.check
+    points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
+    first_violation = low = None
+    for m in points:
+        ok, margin = check(m * p, q)
+        if not ok and first_violation is None:
+            first_violation = Fraction(m * p, q)
+        if margin is not None and (
+                low is None or margin[0] * low[1] < low[0] * margin[1]):
+            low = margin
+    return FactReport(fact_id, fact.description, first_violation is None,
+                      first_violation, None if low is None else Fraction(*low),
+                      step, len(points))
 
 
 def all_fact_ids() -> list[str]:

@@ -2,14 +2,20 @@
 
 These deliberately avoid the library's own algorithms: girth by
 brute-force simple-cycle enumeration (networkx), layers by naive
-repeated relaxation over an explicit adjacency dict.
+repeated relaxation over an explicit adjacency dict, and the facts F1-F11
+as the `Fraction` statements evaluated at `Fraction` grid points that the
+library's integer fact scan replaced.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import networkx as nx
+
+from bipgirth import lemmas
 
 from bipgirth.digraph import (
     BipartiteDigraph,
@@ -18,6 +24,7 @@ from bipgirth.digraph import (
     VertexRef,
     _bits,
 )
+from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport
 
 
 def to_networkx(g) -> nx.DiGraph:
@@ -77,3 +84,128 @@ def random_general(rng: random.Random, max_n: int = 8) -> GeneralDigraph:
     n = rng.randint(1, max_n)
     out = tuple(rng.getrandbits(n) & ~(1 << i) for i in range(n))
     return GeneralDigraph(n, out)
+
+
+# ---------------------------------------------------------------------------
+# The facts F1-F11 in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def _grid(lo: Fraction, hi: Fraction, step: Fraction,
+          open_lo: bool, open_hi: bool):
+    # walk in exact multiples of step starting at the first in-range point
+    start = math.ceil(lo / step)
+    if open_lo and Fraction(start) * step == lo:
+        start += 1
+    stop = math.floor(hi / step)
+    if open_hi and Fraction(stop) * step == hi:
+        stop -= 1
+    for m in range(start, stop + 1):
+        yield m * step
+
+
+def _f1(b):
+    if (3 * b - Fraction(1, 2)) * (1 - b) >= (1 - 2 * b) * b:
+        return b > Fraction(219, 1000), b - Fraction(219, 1000)
+    return True, None
+
+
+def _f2(b):
+    if b * DELTA3 <= (1 - b * DELTA3) / (1 - 2 * b):
+        return b < Fraction(223, 1000), Fraction(223, 1000) - b
+    return True, None
+
+
+def _f3(b):
+    m = (1 - 2 * b) * b / (3 * b - Fraction(1, 2)) - (1 - b * DELTA3) / (1 - 2 * b)
+    return m >= 0, m
+
+
+def _f4(_b):
+    m = Fraction(258, 1000) - 1 / (1 + DELTA3)
+    return m > 0, m
+
+
+def _f5(b):
+    m = (1 - b * DELTA4) - (b / 5 + Fraction(9) / (3 + 5 * b) - 2)
+    return m > 0, m
+
+
+def _f6(b):
+    if (Fraction(4, 5) - 2 * b) * b <= (1 - b) * (1 / DELTA4 - b):
+        return b < Fraction(19, 100), Fraction(19, 100) - b
+    return True, None
+
+
+def _f7(b):
+    m1 = 5 * b / (3 + 5 * b) + 3 * b / 5 - Fraction(32, 100)
+    m2 = (Fraction(2, 5) - b) * (Fraction(3, 5) + 1 / (1 - b)) - Fraction(38, 100)
+    return m1 >= 0 and m2 >= 0, min(m1, m2)
+
+
+def _f8(b):
+    # the final display of the girth-8 argument must exceed 1 throughout;
+    # the left side is concave in alpha, so its minimum over the admissible
+    # range [2/5 - beta, 1/2] is at an endpoint
+    xp = (b * (DELTA4 + 1) - Fraction(1, 2)) / (b * (DELTA4 + 1) - Fraction(32, 100))
+
+    def lhs(alpha):
+        u = 2 * alpha - Fraction(38, 100)
+        return u * xp * (2 - u * (1 - xp) / b) + Fraction(76, 100) + b
+
+    m = min(lhs(Fraction(2, 5) - b), lhs(Fraction(1, 2))) - 1
+    return m > 0, m
+
+
+def _f9(_b):
+    m1 = DELTA12 / 49 - Fraction(2667, 10000) * Fraction(3993, 10000)
+    m2 = Fraction(2667, 10000) - (1 - DELTA12 / 7)
+    return m1 >= 0 and m2 > 0, min(m1, m2)
+
+
+_F10_RATIOS = [Fraction(1, 2), Fraction(3, 4), DELTA3 / 3,
+               1 - Fraction(74, 224539)]
+
+
+def _f10(xi):
+    # out-degree-counting step as a biconditional in the ratio xi = |X|/|B|,
+    # for representative values c = delta/k
+    for c in _F10_RATIOS:
+        premise = c <= xi / 2 + (1 - xi)
+        conclusion = xi <= 2 * (1 - c)
+        if premise != conclusion:
+            return False, None
+    return True, None
+
+
+def _f11(b):
+    lhs_holds = Fraction(36, 100) + 2 * b + (6 * b - Fraction(64, 100)) / 5 <= 1
+    return lhs_holds == (b <= Fraction(24, 100)), None
+
+
+FRACTION_FACTS = {f"F{i}": check for i, check in enumerate(
+    [_f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _f9, _f10, _f11], start=1)}
+
+
+def reference_scan(fact_id: str, step: Fraction) -> FactReport:
+    """`lemmas.fact_scan` with a Fraction per grid point: the fact's
+    `Fraction` statement on the interval that `lemmas._CATALOG` gives it."""
+    fact = lemmas._CATALOG[fact_id]
+    check = FRACTION_FACTS[fact_id]
+    if fact.lo == fact.hi:
+        points = [fact.lo]  # point facts: a single exact evaluation
+    else:
+        points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
+    holds = True
+    first_violation = None
+    margin_min = None
+    count = 0
+    for b in points:
+        count += 1
+        ok, margin = check(b)
+        if not ok and holds:
+            holds = False
+            first_violation = b
+        if margin is not None and (margin_min is None or margin < margin_min):
+            margin_min = margin
+    return FactReport(fact_id, fact.description, holds, first_violation,
+                      margin_min, step, count)

@@ -27,6 +27,12 @@ class TestParseRational:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_rational("1e-3")
 
+    def test_ascii_digits_only(self):
+        import argparse
+        for text in ["\u0661/\u0663", "1_0/3", "1/3\n", " 1/3", "\uff11/3"]:
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_rational(text)
+
 
 class TestConstruct:
     def test_circulant_stdout(self, capsys):
@@ -264,6 +270,10 @@ class TestMalformedInput:
         ["audit", "bigset", "{six_cycle}", "--k", "2", "--alpha", "1/3",
          "--beta", "1/3", "--delta", "3/2", "--vertex", "A0", "--horizon", "0"],
         ["comply", "{six_cycle}", "--alpha=-1/3", "--beta=-1/3"],
+        ["construct", "offset", "--n", "3", "--out-offsets", "0,\u0661",
+         "--in-offsets", "1"],
+        ["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
+         "--beta", "1/3", "--seed", "\u0667"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys).startswith("error: ")
@@ -281,8 +291,18 @@ class TestMalformedInput:
          "error: audit bells ignores --k, --horizon"),
         (["audit", "bigindeg", "{six_cycle}", "--alpha", "1/3", "--beta", "1/3",
           "--vertex", "A0"], "error: audit bigindeg ignores --vertex"),
+        (["classify", "--k", "\u0662", "--alpha", "1/3", "--beta", "1/3"],
+         "error: argument --k: '\u0662' is not a nonnegative integer"),
+        (["classify", "--k", "2", "--alpha", "\u0661/\u0663", "--beta", "1/3"],
+         "error: argument --alpha: '\u0661/\u0663' is not a nonnegative p/q "
+         "rational (decimals are rejected)"),
+        (["classify", "--k", "1_0", "--alpha", "1/3", "--beta", "1/3"],
+         "error: argument --k: '1_0' is not a nonnegative integer"),
+        (["lemmas", "--stress", "newineq", "--count", "\u0661\u0660"],
+         "error: argument --count: '\u0661\u0660' is not a positive integer"),
     ], ids=["extra_token", "arabic_digit", "negative_max", "lemmas_count",
-            "bells_options", "bigindeg_vertex"])
+            "bells_options", "bigindeg_vertex", "arabic_k", "arabic_alpha",
+            "underscore_k", "arabic_count"])
     def test_message_names_the_cause(self, argv, message, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys) == message
 
@@ -329,4 +349,18 @@ def test_token_files_exit_0_or_1(tmp_path_factory, data):
             line[pos] = tok
     path = tmp_path_factory.getbasetemp() / "tokens.txt"
     path.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+    assert main(["girth", str(path)]) in (0, 1)
+
+
+_HEADERS = [b"", b"bipartite 3 3\n", b"digraph 4\n"]
+
+
+@given(st.sampled_from(_HEADERS),
+       st.binary(max_size=200) | st.text("AB0123 \t\r\n-").map(str.encode))
+@settings(max_examples=300, deadline=None)
+def test_any_bytes_exit_0_or_1(tmp_path_factory, header, body):
+    # any file of at most 200 bytes; an exception main does not turn into
+    # exit 1 fails the test with its traceback
+    path = tmp_path_factory.getbasetemp() / "bytes.txt"
+    path.write_bytes((header + body)[:200])
     assert main(["girth", str(path)]) in (0, 1)

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from bipgirth import lemmas
 from bipgirth.constructions import circulant
 from bipgirth.digraph import B, Side, VertexRef, distance_power, from_edges
@@ -341,9 +343,81 @@ class TestFactScan:
         rep = fact_scan("F5")
         assert rep.margin_min > 0
 
-    def test_violation_reporting(self):
-        # a coarser-than-spec scan of F3 outside its interval would fail;
-        # instead check the machinery by scanning F7 at coarse step
-        rep = fact_scan("F7", step=F(1, 1000))
-        assert rep.holds_everywhere
-        assert rep.points_checked == 19
+    def test_violation_reporting(self, monkeypatch):
+        # F7's check on a widened interval where it fails at both ends:
+        # m1 < 0 at 0.16 and m2 < 0 at 0.20
+        widened = dataclasses.replace(lemmas._CATALOG["F7"], lo=F(16, 100),
+                                      hi=F(20, 100))
+        monkeypatch.setitem(lemmas._CATALOG, "F7", widened)
+        for step in (F(1, 1000), F(3, 10000)):
+            rep = fact_scan("F7", step=step)
+            ref = oracles.reference_scan("F7", step)
+            assert rep.holds_everywhere is False
+            assert rep.first_violation == ref.first_violation
+            assert rep.margin_min == ref.margin_min < 0
+            assert rep == ref
+
+    def test_matches_reference_scan(self):
+        for fid in all_fact_ids():
+            step = F(1, 10000)
+            assert fact_scan(fid, step=step) == oracles.reference_scan(fid, step), fid
+
+
+_INTERVAL_FACTS = [fid for fid in all_fact_ids()
+                   if lemmas._CATALOG[fid].lo != lemmas._CATALOG[fid].hi]
+
+
+def _inside(fact, b):
+    return ((fact.lo < b if fact.open_lo else fact.lo <= b)
+            and (b < fact.hi if fact.open_hi else b <= fact.hi))
+
+
+def _boundary_points(reference, points):
+    """The rationals within 1e-12 on either side of each place where the
+    statement's verdict, or whether it reports a margin, changes between
+    neighbouring points."""
+    def state(b):
+        ok, margin = reference(b)
+        return ok, margin is None
+
+    found = []
+    for lo, hi in zip(points, points[1:]):
+        if state(lo) != state(hi):
+            while hi - lo > F(1, 10 ** 12):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if state(mid) == state(lo) else (lo, mid)
+            found += [lo, hi]
+    return found
+
+
+@pytest.mark.parametrize("fid", _INTERVAL_FACTS)
+def test_integer_check_matches_fraction_statement(fid):
+    """The cleared integer check at (n, d) and the Fraction statement at n/d
+    give the same verdict and the same exact margin: at grid points, next to
+    each boundary of the statement's condition, and at random rationals."""
+    fact = lemmas._CATALOG[fid]
+    reference = oracles.FRACTION_FACTS[fid]
+    pairs = []
+    for step in (F(1, 1000), F(1, 997), F(3, 1000)):
+        grid = lemmas._grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
+        pairs += [(m * step.numerator, step.denominator) for m in grid]
+    grid = [m * F(1, 1000) for m in lemmas._grid(
+        fact.lo, fact.hi, F(1, 1000), fact.open_lo, fact.open_hi)]
+    pairs += [(b.numerator, b.denominator)
+              for b in _boundary_points(reference, grid)]
+    rng = random.Random(fid)
+    drawn = 0
+    while drawn < 200:
+        d = rng.randint(1, 10 ** 7)
+        n = rng.randint(int(fact.lo * d), int(fact.hi * d) + 1)
+        if _inside(fact, F(n, d)):
+            pairs.append((n, d))
+            drawn += 1
+    for n, d in pairs:
+        ok, margin = fact.check(n, d)
+        ref_ok, ref_margin = reference(F(n, d))
+        assert ok == ref_ok, (fid, n, d)
+        if ref_margin is None:
+            assert margin is None, (fid, n, d)
+        else:
+            assert margin[1] > 0 and F(*margin) == ref_margin, (fid, n, d)
