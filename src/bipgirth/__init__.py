@@ -11,9 +11,7 @@ from .digraph import (
     LayerProfile,
     Side,
     VertexRef,
-    aux_square_digraph,
     backward_layers,
-    blowup,
     compliance_profile,
     distance_power,
     forward_layers,

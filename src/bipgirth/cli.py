@@ -76,6 +76,11 @@ def _offsets(text: str) -> frozenset[int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a comma list led by a negative number (`--out-offsets -1,2`) is a value
+        self._negative_number_matcher = re.compile(r"^-[0-9][0-9,.-]*$")
+
     def error(self, message: str):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 from .errors import (
     EvenDistance,
     IndexOutOfRange,
-    MixedSideSet,
     NullDigraph,
     SameSideEdge,
 )
@@ -369,73 +368,6 @@ def compliance_profile(g: BipartiteDigraph) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 # Derived digraphs
 # ---------------------------------------------------------------------------
-
-def _expand_mask(mask: int, factor: int) -> int:
-    """Each bit j becomes the block of bits j*factor .. j*factor+factor-1."""
-    block = (1 << factor) - 1
-    out = 0
-    for j in _bits(mask):
-        out |= block << (j * factor)
-    return out
-
-
-def blowup(g: BipartiteDigraph, n_a: int, n_b: int) -> BipartiteDigraph:
-    """Replace each A-vertex by n_a copies and each B-vertex by n_b copies.
-
-    Copies inherit all adjacencies; girth (when a cycle exists) and the
-    compliance profile are preserved.
-    """
-    a_out = []
-    for m in g.a_out:
-        row = _expand_mask(m, n_b)
-        a_out.extend([row] * n_a)
-    b_out = []
-    for m in g.b_out:
-        row = _expand_mask(m, n_a)
-        b_out.extend([row] * n_b)
-    return BipartiteDigraph(g.a_size * n_a, g.b_size * n_b, tuple(a_out), tuple(b_out))
-
-
-def _side_mask(vertices: Iterable[VertexRef]) -> tuple[Optional[Side], int]:
-    side = None
-    mask = 0
-    for v in vertices:
-        if side is None:
-            side = v.side
-        elif v.side is not side:
-            raise MixedSideSet("vertex set straddles both sides")
-        mask |= 1 << v.index
-    return side, mask
-
-
-def aux_square_digraph(g: BipartiteDigraph, S: Iterable[VertexRef],
-                       T: Iterable[VertexRef]) -> GeneralDigraph:
-    """Digraph on S with s->t whenever some w in T has s->w and w->t in g.
-
-    S and T must each lie in one side, on opposite sides.  Vertex p of the
-    result is the p-th element of S in increasing index order.  Any l-cycle
-    here lifts to a closed 2l-walk in g.
-    """
-    s_side, s_mask = _side_mask(S)
-    t_side, t_mask = _side_mask(T)
-    if s_side is not None and t_side is not None and s_side is t_side:
-        raise MixedSideSet("S and T must be on opposite sides")
-    if s_side is None:
-        return GeneralDigraph(0, ())
-    order = [VertexRef(s_side, i) for i in _bits(s_mask)]
-    pos = {v.index: p for p, v in enumerate(order)}
-    s_rows = g.a_out if s_side is Side.A else g.b_out
-    t_rows = g.b_out if s_side is Side.A else g.a_out
-    out = []
-    for p, v in enumerate(order):
-        reach = _expand(t_rows, s_rows[v.index] & t_mask) & s_mask
-        row = 0
-        for u in _bits(reach):
-            if u != v.index:
-                row |= 1 << pos[u]
-        out.append(row)
-    return GeneralDigraph(len(order), tuple(out))
-
 
 def distance_power(g: BipartiteDigraph, d: int) -> BipartiteDigraph:
     """Keep all A->B edges; give each B-vertex an edge to every A-vertex

@@ -17,10 +17,6 @@ class NullDigraph(BipgirthError):
     """An operation requiring a non-null digraph got an empty side."""
 
 
-class MixedSideSet(BipgirthError):
-    """A vertex set expected to lie within one side straddles both."""
-
-
 class EvenDistance(BipgirthError):
     """distance_power requires an odd distance bound."""
 

@@ -246,6 +246,12 @@ class IneqParams:
     mu: Real
 
 
+def _conclusion(p: IneqParams) -> Real:
+    """The quantity the summation inequality bounds, per vertex of B."""
+    return (_sq_over(p.mu - p.x * p.gamma, p.y) + _sq_over(p.beta - p.mu, 1 - p.y)
+            + 2 * p.beta * (p.lam + p.gamma) - p.x * p.gamma * p.gamma)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     hypotheses_held: bool
@@ -283,8 +289,7 @@ def appliedineq_check(samples: Sequence[tuple[Real, Real]], params: IneqParams,
     if beta < x * gamma or y * beta + x * (1 - y) * gamma > mu:
         raise HypothesisViolated("bullet 5", "parameter inequalities fail")
     lhs = sum(b * b + 2 * a * b for a, b in samples)
-    rhs = (_sq_over(mu - x * gamma, y) + _sq_over(beta - mu, 1 - y)
-           + 2 * beta * (lam + gamma) - x * gamma * gamma) * n
+    rhs = _conclusion(params) * n
     return CheckReport(True, lhs >= rhs, lhs, rhs)
 
 
@@ -359,8 +364,7 @@ def bellsandwhistles_check(g: BipartiteDigraph, R: Iterable[Edge], S: Iterable[E
     if heads_in_y < mu * na * nb:
         raise HypothesisViolated("bullet 6", "fewer than mu|A||B| edges head in Y")
 
-    lhs = (_sq_over(mu - x * gamma, y) + _sq_over(beta - mu, 1 - y)
-           + 2 * beta * (lam + gamma) - x * gamma * gamma)
+    lhs = _conclusion(params)
     return CheckReport(True, lhs <= beta, lhs, beta)
 
 
@@ -408,11 +412,9 @@ def bigk_simplify_check(k: int, r: int) -> bool:
     if not k > r >= 0:
         raise ValueError("need k > r >= 0")
     p = bigk_params(k, r)
-    expr = (_sq_over(p.mu - p.x * p.gamma, p.y) + _sq_over(p.beta - p.mu, 1 - p.y)
-            + 2 * p.beta * (p.lam + p.gamma) - p.x * p.gamma * p.gamma)
     target = (k * k + 2 * (r + r * r) ** 2 + 2 * r * r
               - k * (Fraction(r ** 3, 2) + 4 * r * r + 4 * r))
-    return (expr - p.beta) * k ** 4 == target
+    return (_conclusion(p) - p.beta) * k ** 4 == target
 
 
 # ---------------------------------------------------------------------------

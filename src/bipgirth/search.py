@@ -7,6 +7,25 @@ requiring nondecreasing adjacency rows, and prunes each B-row candidate
 by one mask per depth: the A-vertices that already reach the new
 B-vertex within 2k-1 steps.  Runs are sequential and fully
 deterministic.
+
+Canonical codes and automorphism counts come from one
+individualisation-refinement search (McKay & Piperno, "Practical graph
+isomorphism II", 2014).  A colour is the start position of its cell (side
+A starts at 0, side B at a_size); refinement splits cells in place until
+none splits.  A node individualises each vertex v of its first
+non-singleton cell in turn (v keeps colour c, the rest take c+1).  A leaf
+is a discrete colouring; the canonical code is the least leaf code, the
+adjacency relabeled by position.
+
+A leaf with the first leaf's code gives an automorphism: position p of
+the first leaf to position p of this one.  Individualised vertices keep
+their positions, so, found depth first, it fixes the prefix of every
+first-path node still open.  Off the first path, the subtree holding such
+a leaf is the image of the first child's and is abandoned; on it, a child
+in the union-find orbit of an earlier child is skipped.  Each child in
+the true orbit of the first child is thus merged into its union-find
+orbit, and by orbit-stabiliser |Aut| is the product of those orbit sizes
+over the first path.
 """
 
 from __future__ import annotations
@@ -14,10 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .constructions import random_compliant, required_degrees
 from .digraph import BipartiteDigraph, _bits, _expand, _transpose, girth, is_compliant
@@ -93,106 +113,76 @@ class SearchReport:
 # Canonical codes
 # ---------------------------------------------------------------------------
 
-def _refine_colors(g: BipartiteDigraph, rounds: int = 3) -> tuple[list, list]:
-    """Isomorphism-invariant vertex colors per side (degree pair, then
-    iterated neighbour-color multisets)."""
-    ca = [(g.a_out[i].bit_count(), g.a_in[i].bit_count()) for i in range(g.a_size)]
-    cb = [(g.b_out[j].bit_count(), g.b_in[j].bit_count()) for j in range(g.b_size)]
-    for _ in range(rounds):
-        na = [(ca[i],
-               tuple(sorted(cb[j] for j in _bits(g.a_out[i]))),
-               tuple(sorted(cb[j] for j in _bits(g.a_in[i]))))
-              for i in range(g.a_size)]
-        nb = [(cb[j],
-               tuple(sorted(ca[i] for i in _bits(g.b_out[j]))),
-               tuple(sorted(ca[i] for i in _bits(g.b_in[j]))))
-              for j in range(g.b_size)]
-        if len(set(na)) == len(set(ca)) and len(set(nb)) == len(set(cb)):
-            break
-        ca, cb = na, nb
-    return ca, cb
+def _refine(col: list[int], out: list[list[int]], inn: list[list[int]]) -> None:
+    """Split the cells of col in place by (colour, sorted out- and
+    in-neighbour colours) until none splits."""
+    while True:
+        cells = len(set(col))
+        key = [(col[v], sorted(col[u] for u in out[v]), sorted(col[u] for u in inn[v]))
+               for v in range(len(col))]
+        order = sorted(range(len(col)), key=key.__getitem__)
+        for p, v in enumerate(order):
+            col[v] = col[order[p - 1]] if p and key[v] == key[order[p - 1]] else p
+        if len(set(col)) == cells:
+            return
 
 
-def _cell_perms(colors: list) -> Iterator[tuple[int, ...]]:
-    """All permutations (new position -> old index) that respect the color
-    cells, cells ordered by color key."""
-    order = sorted(range(len(colors)), key=lambda v: (repr(colors[v]), v))
-    cells: list[list[int]] = []
-    for v in order:
-        if cells and colors[cells[-1][0]] == colors[v]:
-            cells[-1].append(v)
-        else:
-            cells.append([v])
-    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        yield tuple(v for part in parts for v in part)
+def _canonical(g: BipartiteDigraph) -> tuple[bytes, int]:
+    """Canonical code and automorphism count (see the module docstring)."""
+    a, n = g.a_size, g.a_size + g.b_size
+    out = [[a + j for j in _bits(m)] for m in g.a_out] + [list(_bits(m)) for m in g.b_out]
+    inn = [[a + j for j in _bits(m)] for m in g.a_in] + [list(_bits(m)) for m in g.b_in]
+    orbit = list(range(n))  # union-find over the automorphisms found so far
+    first = best = None  # first: the code and vertex order of the first leaf
+    count = 1
 
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
 
-def _remap(mask: int, pos: list[int]) -> int:
-    out = 0
-    for b in _bits(mask):
-        out |= 1 << pos[b]
-    return out
+    def search(col: list[int], on_first: bool) -> bool:
+        """Explore one node; True means a leaf below it gave an automorphism."""
+        nonlocal first, best, count
+        _refine(col, out, inn)
+        c = min((c for c, m in Counter(col).items() if m > 1), default=None)
+        if c is None:
+            order = sorted(range(n), key=col.__getitem__)
+            code = tuple(sum(1 << col[u] for u in out[v]) for v in order)
+            if first is None:
+                first = code, order
+            elif code == first[0]:
+                for u, v in zip(first[1], order):
+                    orbit[find(u)] = find(v)
+                return True
+            best = code if best is None else min(best, code)
+            return False
+        cell = [v for v in range(n) if col[v] == c]
+        tried: list[int] = []
+        for v in cell:
+            if on_first and any(find(v) == find(u) for u in tried):
+                continue
+            child = [c + 1 if col[u] == c and u != v else col[u] for u in range(n)]
+            if search(child, on_first and not tried) and not on_first:
+                return True
+            tried.append(v)
+        if on_first:
+            count *= sum(find(v) == find(cell[0]) for v in cell)
+        return False
 
-
-def _encode(g: BipartiteDigraph, pa: tuple[int, ...], pb: tuple[int, ...]) -> tuple:
-    pos_b = [0] * g.b_size
-    for new, old in enumerate(pb):
-        pos_b[old] = new
-    pos_a = [0] * g.a_size
-    for new, old in enumerate(pa):
-        pos_a[old] = new
-    return (tuple(_remap(g.a_out[old], pos_b) for old in pa),
-            tuple(_remap(g.b_out[old], pos_a) for old in pb))
+    search([0] * a + [a] * g.b_size, True)
+    rows = ",".join(str(r >> a) for r in best[:a]) + "|" + ",".join(map(str, best[a:]))
+    return f"{a} {g.b_size} {rows}".encode(), count
 
 
 def canonical_code(g: BipartiteDigraph) -> bytes:
-    """Complete invariant for side-preserving isomorphism at fixed sizes:
-    the lexicographically minimal relabeled adjacency encoding, minimised
-    over color-respecting permutations of each side."""
-    ca, cb = _refine_colors(g)
-    best = None
-    for pa in _cell_perms(ca):
-        for pb in _cell_perms(cb):
-            enc = _encode(g, pa, pb)
-            if best is None or enc < best:
-                best = enc
-    rows = ",".join(str(r) for r in best[0]) + "|" + ",".join(str(r) for r in best[1])
-    return f"{g.a_size} {g.b_size} {rows}".encode()
+    """Complete invariant for side-preserving isomorphism at fixed sizes."""
+    return _canonical(g)[0]
 
 
 def automorphism_count(g: BipartiteDigraph) -> int:
-    """Number of side-preserving automorphisms.
-
-    Candidate maps send the first cell-respecting arrangement onto each
-    other arrangement; refinement colors are isomorphism-invariant, so
-    every automorphism appears among the candidates."""
-    ca, cb = _refine_colors(g)
-    base_a = next(_cell_perms(ca))
-    base_b = next(_cell_perms(cb))
-    count = 0
-    for pa in _cell_perms(ca):
-        ma = [0] * len(pa)
-        for t, old in enumerate(pa):
-            ma[base_a[t]] = old
-        for pb in _cell_perms(cb):
-            mb = [0] * len(pb)
-            for t, old in enumerate(pb):
-                mb[base_b[t]] = old
-            if (all(_remap(g.a_out[i], mb) == g.a_out[ma[i]]
-                    for i in range(g.a_size))
-                    and all(_remap(g.b_out[j], ma) == g.b_out[mb[j]]
-                            for j in range(g.b_size))):
-                count += 1
-    return count
-
-
-def all_digraphs(n_a: int, n_b: int) -> Iterator[BipartiteDigraph]:
-    """Every labeled bipartite digraph at the given sizes (2^(2*n_a*n_b))."""
-    row_a = 1 << n_b
-    row_b = 1 << n_a
-    for a_rows in itertools.product(range(row_a), repeat=n_a):
-        for b_rows in itertools.product(range(row_b), repeat=n_b):
-            yield BipartiteDigraph(n_a, n_b, a_rows, b_rows)
+    """Number of side-preserving automorphisms."""
+    return _canonical(g)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own algorithms: girth by
 brute-force simple-cycle enumeration (networkx), layers by naive
-repeated relaxation over an explicit adjacency dict, and the facts F1-F11
+repeated relaxation over an explicit adjacency dict, canonical forms and
+automorphism counts by trying every relabeling, and the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
 library's integer fact scan replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -84,6 +86,37 @@ def random_general(rng: random.Random, max_n: int = 8) -> GeneralDigraph:
     n = rng.randint(1, max_n)
     out = tuple(rng.getrandbits(n) & ~(1 << i) for i in range(n))
     return GeneralDigraph(n, out)
+
+
+def all_digraphs(n_a: int, n_b: int):
+    """Every labeled bipartite digraph at the given sizes (2^(2*n_a*n_b))."""
+    for a_rows in itertools.product(range(1 << n_b), repeat=n_a):
+        for b_rows in itertools.product(range(1 << n_a), repeat=n_b):
+            yield BipartiteDigraph(n_a, n_b, a_rows, b_rows)
+
+
+def relabel(g: BipartiteDigraph, pa, pb) -> BipartiteDigraph:
+    """g with A-vertex i renamed pa[i] and B-vertex j renamed pb[j]."""
+    a_out = [0] * g.a_size
+    for i, m in enumerate(g.a_out):
+        a_out[pa[i]] = sum(1 << pb[j] for j in _bits(m))
+    b_out = [0] * g.b_size
+    for j, m in enumerate(g.b_out):
+        b_out[pb[j]] = sum(1 << pa[i] for i in _bits(m))
+    return BipartiteDigraph(g.a_size, g.b_size, tuple(a_out), tuple(b_out))
+
+
+def brute_canonical(g: BipartiteDigraph) -> tuple[tuple, int]:
+    """The least relabeled adjacency over all a!*b! relabelings, and the
+    number of relabelings that fix g (its automorphisms)."""
+    best, fixed = None, 0
+    for pa in itertools.permutations(range(g.a_size)):
+        for pb in itertools.permutations(range(g.b_size)):
+            h = relabel(g, pa, pb)
+            adj = (h.a_out, h.b_out)
+            best = adj if best is None else min(best, adj)
+            fixed += h == g
+    return best, fixed
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,15 @@ class TestConstruct:
         assert rc == 0
         assert capsys.readouterr().out.startswith("bipartite 5 5")
 
+    def test_offset_leading_minus(self, capsys):
+        # a residue list led by a negative number reads the same as after `=`
+        outs = []
+        for argv in (["--out-offsets", "-1,2"], ["--out-offsets=-1,2"]):
+            rc = main(["construct", "offset", "--n", "5", *argv, "--in-offsets", "0"])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("bipartite 5 5")
+
     def test_infeasible_reports_error(self, capsys):
         rc = main(["construct", "layered", "--k", "0", "--t", "1"])
         assert rc == 1

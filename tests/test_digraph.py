@@ -11,9 +11,7 @@ from bipgirth.digraph import (
     GeneralDigraph,
     Side,
     VertexRef,
-    aux_square_digraph,
     backward_layers,
-    blowup,
     compliance_profile,
     distance_power,
     forward_layers,
@@ -28,7 +26,6 @@ from bipgirth.constructions import circulant, layered_cycle, offset_circulant, O
 from bipgirth.errors import (
     EvenDistance,
     IndexOutOfRange,
-    MixedSideSet,
     NullDigraph,
     SameSideEdge,
 )
@@ -262,57 +259,6 @@ class TestCompliance:
         g = six_cycle()
         a, b = compliance_profile(g)
         assert is_compliant(g, a, b)
-
-
-class TestBlowup:
-    def test_girth_invariant(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            g = random_bipartite(rng, max_side=4)
-            gr = girth(g)
-            if gr is None:
-                continue
-            h = blowup(g, 2, 3)
-            assert girth(h).length == gr.length
-            assert compliance_profile(h) == compliance_profile(g)
-
-    def test_sizes(self):
-        h = blowup(six_cycle(), 2, 2)
-        assert h.a_size == 6 and h.b_size == 6
-        assert h.edge_count == 6 * 4
-
-
-class TestAuxSquare:
-    def test_six_cycle_triangle(self):
-        g = six_cycle()
-        h = aux_square_digraph(g, [B(0), B(1), B(2)], [A(0), A(1), A(2)])
-        assert girth(h).length == 3
-
-    def test_empty_targets(self):
-        h = aux_square_digraph(six_cycle(), [B(0), B(1), B(2)], [])
-        assert h.edge_count == 0
-
-    def test_circulant_221(self):
-        g = circulant(2, 2, 1)
-        h = aux_square_digraph(g, [B(i) for i in range(5)],
-                               [A(i) for i in range(5)])
-        # b_i reaches b_{i+1} and b_{i+2} through A; shortest cycle is 3
-        assert girth(h).length == 3
-
-    def test_cycle_lifting(self):
-        rng = random.Random(14)
-        for _ in range(60):
-            g = random_bipartite(rng)
-            S = [VertexRef(Side.B, j) for j in range(g.b_size)]
-            T = [VertexRef(Side.A, i) for i in range(g.a_size)]
-            h = aux_square_digraph(g, S, T)
-            gh, gg = girth(h), girth(g)
-            if gh is not None and gg is not None:
-                assert 2 * gh.length >= gg.length
-
-    def test_mixed_sides_rejected(self):
-        with pytest.raises(MixedSideSet):
-            aux_square_digraph(six_cycle(), [B(0), A(0)], [A(1)])
 
 
 class TestDistancePower:

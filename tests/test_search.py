@@ -1,23 +1,26 @@
 import itertools
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from bipgirth.constructions import circulant, random_compliant
+from bipgirth.constructions import circulant, layered_cycle
 from bipgirth.digraph import BipartiteDigraph, girth, is_compliant
 from bipgirth.errors import InfeasibleConfig
 from bipgirth.search import (
     SearchConfig,
     SearchStatus,
-    all_digraphs,
     automorphism_count,
     canonical_code,
     find_counterexample,
     verify_conjecture_small,
     verify_eulerian_small,
 )
+
+from oracles import all_digraphs, brute_canonical, relabel
 
 
 def F(p, q=1):
@@ -29,102 +32,99 @@ def random_relabel(g: BipartiteDigraph, rng: random.Random) -> BipartiteDigraph:
     pb = list(range(g.b_size))
     rng.shuffle(pa)
     rng.shuffle(pb)
+    return relabel(g, pa, pb)
 
-    def remap(mask, perm):
-        out = 0
-        for old in range(len(perm)):
-            if mask >> old & 1:
-                out |= 1 << perm[old]
-        return out
 
-    a_out = [0] * g.a_size
-    for old in range(g.a_size):
-        a_out[pa[old]] = remap(g.a_out[old], pb)
-    b_out = [0] * g.b_size
-    for old in range(g.b_size):
-        b_out[pb[old]] = remap(g.b_out[old], pa)
-    return BipartiteDigraph(g.a_size, g.b_size, tuple(a_out), tuple(b_out))
+def random_small(rng: random.Random) -> BipartiteDigraph:
+    # a random density per digraph, so sparse, dense and highly symmetric
+    # digraphs all occur
+    na, nb, p = rng.randint(1, 4), rng.randint(1, 4), rng.random()
+    return BipartiteDigraph(
+        na, nb,
+        tuple(sum(1 << j for j in range(nb) if rng.random() < p) for _ in range(na)),
+        tuple(sum(1 << i for i in range(na) if rng.random() < p) for _ in range(nb)))
+
+
+def random_regular(rng: random.Random, n: int, d: int) -> BipartiteDigraph:
+    # the union of d random matchings each way: equitable refinement cannot
+    # split such a digraph, so its cells need not be orbits (say, a 2-cycle
+    # beside a 6-cycle)
+    def rows():
+        perms = [rng.sample(range(n), n) for _ in range(d)]
+        return tuple(sum(1 << j for j in {p[i] for p in perms}) for i in range(n))
+    return BipartiteDigraph(n, n, rows(), rows())
 
 
 class TestCanonicalCode:
     def test_relabel_invariance(self):
         rng = random.Random(31)
-        for _ in range(40):
-            na, nb = rng.randint(1, 4), rng.randint(1, 4)
-            g = BipartiteDigraph(
-                na, nb,
-                tuple(rng.getrandbits(nb) for _ in range(na)),
-                tuple(rng.getrandbits(na) for _ in range(nb)))
+        small = [random_small(rng) for _ in range(40)]
+        small += [random_regular(rng, n, d) for n in (6, 9, 12) for d in (1, 2) for _ in range(3)]
+        circulants = [circulant(*kst) for kst in (
+            (2, 1, 1), (1, 3, 3), (3, 2, 2), (2, 3, 4), (3, 7, 7), (4, 6, 5), (5, 4, 5))]
+        kts = ((1, 10), (2, 6), (3, 5), (4, 4), (9, 2))
+        layered = [layered_cycle(k, t) for k, t in kts]
+        for g in small + circulants + layered:
             h = random_relabel(g, rng)
             assert canonical_code(g) == canonical_code(h)
+            assert automorphism_count(g) == automorphism_count(h)
+        for g in circulants:
+            assert automorphism_count(g) % g.a_size == 0
+        for (k, t), g in zip(kts, layered):
+            # t! per class, times the k+1 rotations of the class cycle
+            assert automorphism_count(g) == math.factorial(t) ** (2 * k + 2) * (k + 1)
 
     def test_distinguishes_nonisomorphic(self):
         g = circulant(2, 1, 1)  # 6-cycle
         h = BipartiteDigraph(3, 3, (1, 2, 4), (1, 2, 4))  # three 2-cycles
         assert canonical_code(g) != canonical_code(h)
 
-    def test_complete_for_2x2(self):
-        # codes partition all 256 labeled 2x2 digraphs into exactly the
-        # isomorphism classes found by explicit permutation orbits
-        graphs = list(all_digraphs(2, 2))
-        by_code = {}
+    def test_matches_brute_force(self):
+        # codes agree exactly when the least relabeled adjacencies do, and
+        # the automorphism count is the number of relabelings fixing g
+        rng = random.Random(32)
+        graphs = [random_small(rng) for _ in range(150)]
+        graphs += [random_regular(rng, rng.randint(2, 4), rng.randint(1, 2)) for _ in range(60)]
+        graphs += [random_relabel(g, rng) for g in graphs]
+        code_of = {}
         for g in graphs:
+            least, fixed = brute_canonical(g)
+            assert code_of.setdefault(least, canonical_code(g)) == canonical_code(g)
+            assert automorphism_count(g) == fixed
+        assert len(set(code_of.values())) == len(code_of)
+
+    def test_complete_for_2x2(self):
+        # codes partition all 256 labeled 2x2 digraphs into the classes of
+        # the brute-force minimum, and each class is an orbit of the 4
+        # relabelings, so its size times |Aut| is 4
+        by_code, by_least = {}, {}
+        for g in all_digraphs(2, 2):
             by_code.setdefault(canonical_code(g), []).append(g)
-        # orbit check: two graphs share a code iff a relabeling maps one
-        # to the other
-        perms = list(itertools.permutations(range(2)))
-
-        def orbit(g):
-            out = set()
-            for pa in perms:
-                for pb in perms:
-                    a_out = [0, 0]
-                    for old in range(2):
-                        m = 0
-                        for j in range(2):
-                            if g.a_out[old] >> j & 1:
-                                m |= 1 << pb[j]
-                        a_out[pa[old]] = m
-                    b_out = [0, 0]
-                    for old in range(2):
-                        m = 0
-                        for i in range(2):
-                            if g.b_out[old] >> i & 1:
-                                m |= 1 << pa[i]
-                        b_out[pb[old]] = m
-                    out.add((tuple(a_out), tuple(b_out)))
-            return out
-
+            by_least.setdefault(brute_canonical(g)[0], []).append(g)
+        assert sorted(by_code.values(), key=repr) == sorted(by_least.values(), key=repr)
         for members in by_code.values():
-            rep_orbit = orbit(members[0])
-            assert len(members) == len(rep_orbit)
-            for g in members:
-                assert (g.a_out, g.b_out) in rep_orbit
+            assert all(len(members) * automorphism_count(g) == 4 for g in members)
 
     def test_automorphism_orbit_formula(self):
         # |orbit| * |Aut| = |A|! * |B|! by orbit-stabilizer
         rng = random.Random(33)
-        perms = list(itertools.permutations(range(3)))
         for _ in range(15):
             g = BipartiteDigraph(
                 3, 3,
                 tuple(rng.getrandbits(3) for _ in range(3)),
                 tuple(rng.getrandbits(3) for _ in range(3)))
-            orbit = set()
-            for pa in perms:
-                for pb in perms:
-                    a_out = [0, 0, 0]
-                    b_out = [0, 0, 0]
-                    for old in range(3):
-                        a_out[pa[old]] = sum(1 << pb[j] for j in range(3)
-                                             if g.a_out[old] >> j & 1)
-                        b_out[pb[old]] = sum(1 << pa[i] for i in range(3)
-                                             if g.b_out[old] >> i & 1)
-                    orbit.add((tuple(a_out), tuple(b_out)))
+            orbit = {relabel(g, pa, pb) for pa in itertools.permutations(range(3))
+                     for pb in itertools.permutations(range(3))}
             assert len(orbit) * automorphism_count(g) == 36
+            assert automorphism_count(g) == brute_canonical(g)[1]
 
     def test_six_cycle_automorphisms(self):
         assert automorphism_count(circulant(2, 1, 1)) == 3
+
+    def test_forty_per_side_in_a_second(self):
+        start = time.perf_counter()
+        canonical_code(circulant(3, 7, 7))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSearchConfig:
