@@ -2,11 +2,26 @@
 
 Exhaustive mode enumerates digraphs with exact minimum degrees (adding
 edges only shortens cycles, so large-girth witnesses exist at exact
-degrees if they exist at all), breaks the A-side labeling symmetry by
-requiring nondecreasing adjacency rows, and prunes each B-row candidate
-by one mask per depth: the A-vertices that already reach the new
-B-vertex within 2k-1 steps.  Runs are sequential and fully
-deterministic.
+degrees if they exist at all) and prunes each B-row candidate by one
+mask per depth: the A-vertices that already reach the new B-vertex
+within 2k-1 steps.  Runs are sequential and fully deterministic.
+
+Relabeling either side maps witnesses to witnesses, so the A-phase needs
+one A-matrix (A-rows over B-columns) per class under row and column
+permutations: the lex-largest, read row by row from column 0.  Its rows
+are lex-nonincreasing (else swapping two makes it larger), and so are its
+columns read top-down: if column j+1 first beats column j in row r,
+swapping them keeps the rows above r and makes row r larger.  The A-phase
+keeps just these double-lex matrices (Flener et al., CP 2002): rows in
+nondecreasing itertools.combinations index are lex-nonincreasing, and a
+row with 0 in column j and 1 in column j+1 is skipped while those columns
+are tied.  The directions must agree: no matrix in the class of
+[[1,0],[0,1]] has nonincreasing rows and nondecreasing columns.
+
+The B-phase may use only symmetries that fix the A-matrix, such as
+swapping two B-vertices with equal columns (in-neighbourhoods), which
+swaps their B-rows; so b_{j+1} takes no earlier row than b_j when their
+columns are equal.  Double-lex puts equal columns side by side.
 
 Canonical codes and automorphism counts come from one
 individualisation-refinement search (McKay & Piperno, "Practical graph
@@ -193,24 +208,40 @@ class _LimitHit(Exception):
     pass
 
 
+class _Rows:
+    """Masks with d of n bits in itertools.combinations order, made on
+    demand so that a node limit bounds the work."""
+
+    def __init__(self, n: int, d: int):
+        self.masks: list[int] = []
+        self.more = (sum(1 << i for i in c) for c in itertools.combinations(range(n), d))
+
+    def starting(self, start: int):
+        """(index, mask) pairs from index start on."""
+        for idx in itertools.count(start):
+            if idx == len(self.masks):
+                mask = next(self.more, None)
+                if mask is None:
+                    return
+                self.masks.append(mask)
+            yield idx, self.masks[idx]
+
+
 class _Enumerator:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.d_a, self.d_b = cfg.degrees
-        self.max_len = 2 * cfg.k
         self.nodes = 0
         self.witness: Optional[BipartiteDigraph] = None
-        self.row_choices_a = [sum(1 << j for j in c)
-                              for c in itertools.combinations(range(cfg.n_b), self.d_a)]
-        self.row_choices_b = [sum(1 << i for i in c)
-                              for c in itertools.combinations(range(cfg.n_a), self.d_b)]
+        self.rows_a = _Rows(cfg.n_b, self.d_a)
+        self.rows_b = _Rows(cfg.n_a, self.d_b)
 
     def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.cfg.node_limit:
+        if self.nodes == self.cfg.node_limit:
             raise _LimitHit
+        self.nodes += 1
 
-    def _reach_b(self, a_in: tuple[int, ...], b_rows: list[int]) -> int:
+    def _reach_b(self, a_in: tuple[int, ...], b_rows: tuple[int, ...]) -> int:
         """A-vertices that reach b_j, j = len(b_rows), within 2k-1 steps
         through B-rows 0..j-1; a row for b_j meeting this mask closes a
         cycle of length <= 2k.  Backward BFS over the transposed A-rows."""
@@ -223,92 +254,61 @@ class _Enumerator:
             reach |= frontier
         return reach
 
-    def _b_phase(self, a_rows: list[int]) -> bool:
+    def _in_degrees(self, deg: list[int], row: int, cap: int,
+                    remaining: int) -> Optional[list[int]]:
+        """In-degrees deg after one more row; None when eulerian and a
+        vertex would pass cap or could no longer reach it in the remaining
+        rows.  Past the last row every in-degree is thus exactly cap."""
+        if not self.cfg.eulerian:
+            return deg
+        deg = [c + (row >> i & 1) for i, c in enumerate(deg)]
+        return None if any(c > cap or c + remaining < cap for c in deg) else deg
+
+    def _b_phase(self, a_rows: tuple[int, ...]) -> bool:
         cfg = self.cfg
         a_in = _transpose(a_rows, cfg.n_b, cfg.n_a)
-        col_cap = [0] * cfg.n_a  # in-degree of each A-vertex so far (eulerian)
-        b_rows: list[int] = []
 
-        def rec() -> bool:
+        def rec(b_rows: tuple[int, ...], min_idx: int, deg: list[int]) -> bool:
             j = len(b_rows)
             if j == cfg.n_b:
-                self.witness = BipartiteDigraph(
-                    cfg.n_a, cfg.n_b, tuple(a_rows), tuple(b_rows))
+                self.witness = BipartiteDigraph(cfg.n_a, cfg.n_b, a_rows, b_rows)
                 return True
             remaining = cfg.n_b - j - 1
             forbidden = self._reach_b(a_in, b_rows)
-            for row in self.row_choices_b:
+            # b_{j+1} with b_j's in-neighbours takes no earlier row
+            same = remaining and a_in[j + 1] == a_in[j]
+            for idx, row in self.rows_b.starting(min_idx):
                 self._tick()
                 if row & forbidden:
                     continue
-                if cfg.eulerian:
-                    ok = True
-                    for i in _bits(row):
-                        if col_cap[i] + 1 > self.d_a:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                b_rows.append(row)
-                if cfg.eulerian:
-                    for i in _bits(row):
-                        col_cap[i] += 1
-                feasible = True
-                if cfg.eulerian:
-                    # every A-vertex must still be able to reach in-degree d_a
-                    for i in range(cfg.n_a):
-                        if self.d_a - col_cap[i] > remaining:
-                            feasible = False
-                            break
-                if feasible and rec():
+                if (new := self._in_degrees(deg, row, self.d_a, remaining)) is None:
+                    continue
+                if rec(b_rows + (row,), idx if same else 0, new):
                     return True
-                if cfg.eulerian:
-                    for i in _bits(row):
-                        col_cap[i] -= 1
-                b_rows.pop()
             return False
 
-        return rec()
+        return rec((), 0, [0] * cfg.n_a)
 
     def _a_phase(self) -> bool:
         cfg = self.cfg
-        rows: list[int] = []
-        col = [0] * cfg.n_b  # in-degree of each B-vertex from A-rows
 
-        def rec(min_idx: int) -> bool:
-            i = len(rows)
-            if i == cfg.n_a:
-                if cfg.eulerian and any(c != self.d_b for c in col):
-                    return False
+        def rec(rows: tuple[int, ...], min_idx: int, tied: int, deg: list[int]) -> bool:
+            """tied: bit j set while columns j and j+1 are equal so far;
+            deg: in-degree of each B-vertex from the rows so far."""
+            if len(rows) == cfg.n_a:
                 return self._b_phase(rows)
-            remaining = cfg.n_a - i - 1
-            for idx in range(min_idx, len(self.row_choices_a)):
-                row = self.row_choices_a[idx]
+            remaining = cfg.n_a - len(rows) - 1
+            for idx, row in self.rows_a.starting(min_idx):
                 self._tick()
-                if cfg.eulerian:
-                    ok = True
-                    for j in _bits(row):
-                        if col[j] + 1 > self.d_b:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    for j in _bits(row):
-                        col[j] += 1
-                    if any(self.d_b - col[j] > remaining for j in range(cfg.n_b)):
-                        for j in _bits(row):
-                            col[j] -= 1
-                        continue
-                rows.append(row)
-                if rec(idx):  # nondecreasing rows break the A-label symmetry
+                if tied & ~row & (row >> 1):  # column j+1 would pass column j
+                    continue
+                if (new := self._in_degrees(deg, row, self.d_b, remaining)) is None:
+                    continue
+                if rec(rows + (row,), idx, tied & ~(row ^ (row >> 1)), new):  # rows nondecreasing
                     return True
-                rows.pop()
-                if cfg.eulerian:
-                    for j in _bits(row):
-                        col[j] -= 1
             return False
 
-        return rec(0)
+        return rec((), 0, (1 << cfg.n_b - 1) - 1, [0] * cfg.n_b)
 
 
 def find_counterexample(cfg: SearchConfig) -> SearchReport:

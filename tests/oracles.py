@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: girth by
 brute-force simple-cycle enumeration (networkx), layers by naive
 repeated relaxation over an explicit adjacency dict, canonical forms and
-automorphism counts by trying every relabeling, and the facts F1-F11
+automorphism counts by trying every relabeling, the exhaustive search
+with nondecreasing A-rows as its only symmetry rule, and the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
 library's integer fact scan replaced.
 """
@@ -117,6 +118,48 @@ def brute_canonical(g: BipartiteDigraph) -> tuple[tuple, int]:
             best = adj if best is None else min(best, adj)
             fixed += h == g
     return best, fixed
+
+
+def reference_search(n_a: int, n_b: int, k: int, d_a: int, d_b: int,
+                     eulerian: bool = False):
+    """The exhaustive search with nondecreasing A-rows as its only symmetry
+    rule: the first digraph in its order with out-degrees exactly d_a and
+    d_b (and, if eulerian, in-degrees too) and no cycle of length <= 2k,
+    or None.  A row for B-vertex j is pruned when it meets the A-vertices
+    that reach j within 2k-1 steps through the B-rows chosen so far."""
+    rows_a = [sum(1 << j for j in c) for c in itertools.combinations(range(n_b), d_a)]
+    rows_b = [sum(1 << i for i in c) for c in itertools.combinations(range(n_a), d_b)]
+
+    def reach(a_rows, b_rows):
+        seen = frontier = {i for i in range(n_a) if a_rows[i] >> len(b_rows) & 1}
+        for _ in range(k - 1):
+            bs = [j for j, row in enumerate(b_rows) if any(row >> i & 1 for i in frontier)]
+            frontier = {i for i in range(n_a) if any(a_rows[i] >> j & 1 for j in bs)} - seen
+            seen |= frontier
+        return sum(1 << i for i in seen)
+
+    def b_phase(a_rows, b_rows):
+        if len(b_rows) == n_b:
+            return BipartiteDigraph(n_a, n_b, tuple(a_rows), tuple(b_rows))
+        forbidden = reach(a_rows, b_rows)
+        for row in rows_b:
+            rows = b_rows + [row]
+            in_deg = [sum(r >> i & 1 for r in rows) for i in range(n_a)]
+            if row & forbidden or eulerian and any(
+                    c > d_a or d_a - c > n_b - len(rows) for c in in_deg):
+                continue
+            found = b_phase(a_rows, rows)
+            if found:
+                return found
+        return None
+
+    for a_rows in itertools.combinations_with_replacement(rows_a, n_a):
+        if eulerian and any(sum(r >> j & 1 for r in a_rows) != d_b for j in range(n_b)):
+            continue
+        found = b_phase(a_rows, [])
+        if found:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from bipgirth.search import (
     verify_eulerian_small,
 )
 
-from oracles import all_digraphs, brute_canonical, relabel
+from oracles import all_digraphs, brute_canonical, reference_search, relabel
 
 
 def F(p, q=1):
@@ -178,6 +178,33 @@ class TestFindCounterexample:
         cfg = SearchConfig(4, 4, 2, F(1, 2), F(1, 2), node_limit=5)
         rep = find_counterexample(cfg)
         assert rep.status is SearchStatus.LimitReached
+        assert rep.nodes_explored == 5
+
+    def test_node_limit_bounds_the_work(self):
+        # C(100, 50) rows per side: rows must be made as the search reaches them
+        start = time.perf_counter()
+        rep = find_counterexample(SearchConfig(100, 100, 2, F(1, 2), F(1, 2), node_limit=5))
+        assert rep.status is SearchStatus.LimitReached
+        assert rep.nodes_explored == 5
+        assert time.perf_counter() - start < 1.0
+
+    def test_statuses_match_reference(self):
+        # every config with sides <= 4, k <= 3 and exact degrees d_a, d_b
+        # against the search whose only symmetry rule is nondecreasing A-rows
+        for n_a, n_b, k in itertools.product(range(1, 5), range(1, 5), (1, 2, 3)):
+            for d_a, d_b in itertools.product(range(1, n_b + 1), range(1, n_a + 1)):
+                for eulerian in {False, n_a * d_a == n_b * d_b}:
+                    alpha, beta = F(d_b, n_a), F(d_a, n_b)
+                    cfg = SearchConfig(n_a, n_b, k, alpha, beta, eulerian=eulerian)
+                    assert cfg.degrees == (d_a, d_b)
+                    rep = find_counterexample(cfg)
+                    ref = reference_search(n_a, n_b, k, d_a, d_b, eulerian)
+                    assert rep.status is (SearchStatus.Exhausted if ref is None
+                                          else SearchStatus.FoundCounterexample), cfg
+                    if rep.witness is not None:
+                        assert is_compliant(rep.witness, alpha, beta)
+                        gr = girth(rep.witness)
+                        assert gr is None or gr.length > 2 * k
 
     def test_exhaustive_matches_brute_force(self):
         # cross-check Exhausted against a naive scan over all digraphs
@@ -221,15 +248,16 @@ class TestFindCounterexample:
 
 
 class TestPinnedWork:
-    """Node counts, statuses and witnesses of fixed exhaustive runs: any
-    change to the pruning must leave them bit-identical."""
+    """Node counts, statuses and witnesses of fixed exhaustive runs: a
+    change that only makes the search faster leaves them as they are; a
+    change to the pruning re-pins the counts and keeps the statuses."""
 
     @pytest.mark.parametrize("cfg, status, nodes, witness", [
-        ((5, 5, 2, F(2, 5), F(2, 5)), SearchStatus.Exhausted, 529_062, None),
+        ((5, 5, 2, F(2, 5), F(2, 5)), SearchStatus.Exhausted, 9_586, None),
         ((6, 6, 2, F(1, 3), F(1, 3)), SearchStatus.FoundCounterexample,
-         2_101_754, ((3, 3, 12, 12, 48, 48), (12, 12, 48, 48, 3, 3))),
-        ((5, 5, 3, F(2, 5), F(1, 5)), SearchStatus.Exhausted, 1_087_151, None),
-    ])
+         39_530, ((3, 3, 12, 12, 48, 48), (12, 12, 48, 48, 3, 3))),
+        ((5, 5, 3, F(2, 5), F(1, 5)), SearchStatus.Exhausted, 3_583, None),
+    ], ids=["n5-k2", "n6-k2", "n5-k3"])  # ids without the counts, which re-pinning changes
     def test_exhaustive_runs(self, cfg, status, nodes, witness):
         rep = find_counterexample(SearchConfig(*cfg))
         assert rep.status is status
@@ -241,15 +269,27 @@ class TestPinnedWork:
 
     def test_eulerian_sweep(self):
         reports = verify_eulerian_small(2, 6)
-        assert [r.nodes_explored for r in reports] == [2, 9, 16, 193, 2280, 57798]
+        assert [r.nodes_explored for r in reports] == [2, 8, 11, 54, 330, 1763]
         assert all(r.status is SearchStatus.Exhausted for r in reports)
 
     def test_limited_sweep(self):
         reports = verify_conjecture_small(3, 6, node_limit=300_000)
-        assert [r.nodes_explored for r in reports] == [2, 17, 199, 3377, 300_001, 300_001]
-        assert [r.status for r in reports] == [SearchStatus.Exhausted] * 4 + [
-            SearchStatus.LimitReached] * 2
+        assert [r.nodes_explored for r in reports] == [2, 10, 47, 305, 9_586, 300_000]
+        assert [r.status for r in reports] == [SearchStatus.Exhausted] * 5 + [
+            SearchStatus.LimitReached]
         assert all(r.witness is None for r in reports)
+
+    def test_conjecture_sweep_k3(self):
+        reports = verify_conjecture_small(3, 6)
+        assert [r.nodes_explored for r in reports] == [2, 10, 47, 305, 9_586, 721_027]
+        assert all(r.status is SearchStatus.Exhausted for r in reports)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (F(1, 3), F(1, 3)), (F(1, 6), F(1, 3)), (F(1, 3), F(1, 6))])
+    def test_open_points_k3(self, alpha, beta):
+        # (1/6, 1/3) and (1/3, 1/6) lie where frontier.classify says Unknown
+        rep = find_counterexample(SearchConfig(6, 6, 3, alpha, beta, node_limit=2_000_000))
+        assert rep.status is SearchStatus.Exhausted
 
 
 class TestVerifySmall:
