@@ -391,6 +391,10 @@ def main(argv: Optional[list] = None) -> int:
     except (BipgirthError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # e.g. a header that declares 10^9 vertices: the rows are allocated up front
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

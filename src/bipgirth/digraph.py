@@ -156,8 +156,10 @@ def _transpose(rows: tuple[int, ...], n_cols_out: int, n_rows: int) -> tuple[int
     cols = [0] * n_cols_out
     for r, m in enumerate(rows):
         bit = 1 << r
-        for c in _bits(m):
-            cols[c] |= bit
+        while m:
+            lsb = m & -m
+            cols[lsb.bit_length() - 1] |= bit
+            m ^= lsb
     return tuple(cols)
 
 
@@ -221,26 +223,58 @@ def _label(g: AnyDigraph, v: int):
     return A(v) if v < g.a_size else B(v - g.a_size)
 
 
+def _trim(adj: list[int], radj: tuple[int, ...], dead: int, dying: list[int]) -> int:
+    """`dead` after the cascade from the dead vertices in `dying`: each live
+    in-neighbour left with no live out-neighbour dies too."""
+    while dying:
+        for u in _bits(radj[dying.pop()] & ~dead):
+            if not adj[u] & ~dead:
+                dead |= 1 << u
+                dying.append(u)
+    return dead
+
+
 def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
     """(length, start) of a shortest directed cycle, or None if acyclic.
 
-    `start` lies on such a cycle, numbered A-vertices first, then B.  Each
-    start, in descending out-degree order so the cutoff tightens early, runs
-    a bit-parallel BFS over the vertices still alive, then dies.  One side of
-    a bipartite digraph suffices, as every cycle alternates sides.  Dying
-    keeps the girth: when the first start u on a shortest cycle C runs, no
-    dead start lies on C, so u's BFS finds |C| unless the cutoff is there.
+    `start` lies on such a cycle, numbered A-vertices first, then B.  One
+    side of a bipartite digraph holds the starts, as every cycle alternates
+    sides.  Each start runs a bit-parallel BFS over the live vertices, with
+    a cutoff one below the shortest cycle found so far, then dies.  A vertex
+    left with no live out-neighbour dies too, and so on in a cascade over
+    the in-rows.  The next start is a live out-neighbour of the dying
+    start's live in-neighbour with the fewest live out-neighbours, so that
+    the cascade comes soon; the fallback is descending out-degree, so the
+    cutoff tightens early.
+
+    Dying keeps the girth.  A dead start has run, and a trimmed vertex
+    lies on no cycle of the live graph, so on a shortest cycle C the first
+    vertex to die is a start that runs with all of C live, and its BFS
+    finds |C| unless the cutoff is already there.  The returned start thus
+    lies on a shortest cycle, with no shorter cycle through it.
+
+    The in-rows cost a transpose, which small digraphs, mostly done at
+    depth 2, should not pay: they are built only once the BFSs have
+    expanded as many frontier vertices as the digraph has edges, and
+    trimming then starts from every vertex already dead.
     """
     n, adj, starts = _unified(g)
+    order = sorted(starts, key=lambda v: -adj[v].bit_count())
     best: Optional[tuple[int, int]] = None
     dead = 0
-    for v in sorted(starts, key=lambda v: -adj[v].bit_count()):
+    radj = None  # in-rows, once built
+    work = 0  # frontier vertices expanded so far
+    budget = None  # edge count, the work that pays for the in-rows
+    pos = 0  # fallback position in `order`
+    v = order[0] if order else None
+    while v is not None:
         cap = best[0] - 1 if best is not None else n
         vbit = 1 << v
         frontier = adj[v] & ~dead
         visited = dead | vbit | frontier
         depth = 1
         while frontier and depth < cap:
+            work += frontier.bit_count()
             nxt = _expand(adj, frontier)
             depth += 1
             if nxt & vbit:
@@ -251,6 +285,27 @@ def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
             frontier = nxt & ~visited
             visited |= nxt
         dead |= vbit
+        if radj is not None:
+            dead = _trim(adj, radj, dead, [v])
+        else:
+            if budget is None:
+                budget = sum(map(int.bit_count, adj))
+            if work >= budget:
+                radj = _transpose(adj, n, n)
+                live = ~dead
+                dead |= sum(1 << u for u, m in enumerate(adj) if not m & live)
+                dead = _trim(adj, radj, dead, list(_bits(dead)))
+        fewest = 0  # smallest live out-row of a live in-neighbour; never 0 after trimming
+        if radj is not None:
+            live = ~dead
+            fewest = min((adj[u] & live for u in _bits(radj[v] & live)),
+                         key=int.bit_count, default=0)
+        if fewest:
+            v = (fewest & -fewest).bit_length() - 1
+        else:
+            while pos < len(order) and dead >> order[pos] & 1:
+                pos += 1
+            v = order[pos] if pos < len(order) else None
     return best
 
 

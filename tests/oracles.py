@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own algorithms: girth by
-brute-force simple-cycle enumeration (networkx), layers by naive
+brute-force simple-cycle enumeration (networkx) and, for inputs too large
+for that, by one full BFS from every start without trimming, layers by naive
 repeated relaxation over an explicit adjacency dict, canonical forms and
 automorphism counts by trying every relabeling, the exhaustive search
 with nondecreasing A-rows as its only symmetry rule, and the facts F1-F11
@@ -11,6 +12,7 @@ library's integer fact scan replaced.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -26,6 +28,8 @@ from bipgirth.digraph import (
     Side,
     VertexRef,
     _bits,
+    _expand,
+    _unified,
 )
 from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport
 
@@ -49,6 +53,51 @@ def brute_girth(g):
         if best is None or len(cyc) < best:
             best = len(cyc)
     return best
+
+
+def reference_shortest_cycle(g):
+    """(length, start) of a shortest cycle, or None: `shortest_cycle_length`
+    without trimming.  Each start, in descending out-degree order, runs a BFS
+    to the cutoff over the vertices not yet dead, then dies."""
+    n, adj, starts = _unified(g)
+    best = None
+    dead = 0
+    for v in sorted(starts, key=lambda v: -adj[v].bit_count()):
+        cap = best[0] - 1 if best is not None else n
+        vbit = 1 << v
+        frontier = adj[v] & ~dead
+        visited = dead | vbit | frontier
+        depth = 1
+        while frontier and depth < cap:
+            nxt = _expand(adj, frontier)
+            depth += 1
+            if nxt & vbit:
+                best = (depth, v)
+                if depth == 2:
+                    return best
+                break
+            frontier = nxt & ~visited
+            visited |= nxt
+        dead |= vbit
+    return best
+
+
+@contextlib.contextmanager
+def count_calls(module, name: str):
+    """Count the calls made to `module.name` inside the block through the
+    module attribute; yields a one-element list holding the count."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    setattr(module, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
 
 
 def naive_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> list[set]:

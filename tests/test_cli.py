@@ -1,8 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bipgirth
 from bipgirth.cli import main, parse_rational
 from bipgirth.constructions import circulant
 from bipgirth.io import to_edge_list
@@ -314,6 +319,26 @@ class TestMalformedInput:
             "underscore_k", "arabic_count"])
     def test_message_names_the_cause(self, argv, message, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys) == message
+
+    @pytest.mark.parametrize("header", ["bipartite 1000000000 3", "digraph 1000000000"])
+    def test_header_too_large_for_memory(self, header, tmp_path):
+        # the rows of 10^9 vertices need 8 GB; the child process runs with
+        # 1 GB of address space, lowered in the child only
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{header}\n", encoding="utf-8")
+
+        def limit_memory():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        src = os.path.dirname(os.path.dirname(bipgirth.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bipgirth.cli", "girth", str(path)],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: out of memory"]
 
     def run(self, argv, tmp_path, capsys):
         """The one stderr line of a command that must exit 1."""

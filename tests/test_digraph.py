@@ -22,7 +22,14 @@ from bipgirth.digraph import (
     shortest_cycle_length,
     star_union,
 )
-from bipgirth.constructions import circulant, layered_cycle, offset_circulant, OffsetSpec
+from bipgirth import digraph
+from bipgirth.constructions import (
+    OffsetSpec,
+    ch_reduce,
+    circulant,
+    layered_cycle,
+    offset_circulant,
+)
 from bipgirth.errors import (
     EvenDistance,
     IndexOutOfRange,
@@ -31,11 +38,76 @@ from bipgirth.errors import (
 )
 from bipgirth.io import parse_edge_list, to_dot, to_edge_list
 
-from oracles import brute_girth, naive_layers, random_bipartite, random_general
+from oracles import (
+    brute_girth,
+    count_calls,
+    naive_layers,
+    random_bipartite,
+    random_general,
+    reference_shortest_cycle,
+    relabel,
+)
 
 
 def six_cycle():
     return circulant(2, 1, 1)
+
+
+def _row(rng, heads, max_degree):
+    """A bitmask of up to max_degree distinct heads drawn from a list."""
+    return sum(1 << h for h in rng.sample(heads, min(len(heads), rng.randint(0, max_degree))))
+
+
+def sparse_bipartite(rng, max_side=9, max_degree=2):
+    na, nb = rng.randint(1, max_side), rng.randint(1, max_side)
+    a_out = tuple(_row(rng, range(nb), max_degree) for _ in range(na))
+    b_out = tuple(_row(rng, range(na), max_degree) for _ in range(nb))
+    return BipartiteDigraph(na, nb, a_out, b_out)
+
+
+def sparse_general(rng, max_n=9, max_degree=2):
+    n = rng.randint(1, max_n)
+    return GeneralDigraph(n, tuple(_row(rng, [j for j in range(n) if j != i], max_degree)
+                                   for i in range(n)))
+
+
+def cycles_with_tails(rng, n):
+    """(digraph, girth): one directed cycle, or two that share one vertex,
+    and every other vertex joined by one edge into or out of a vertex
+    placed before it, so tails run into the cycles and chains hang off
+    them.  A single edge to the earlier vertices closes no cycle."""
+    order = rng.sample(range(n), n)
+    first = rng.randint(2, n // 2)
+    cycles = [order[:first]]
+    placed = first
+    if rng.random() < 0.5 and n - placed >= 2:
+        second = rng.randint(2, min(n - placed + 1, first + 2))
+        cycles.append([rng.choice(cycles[0])] + order[placed:placed + second - 1])
+        placed += second - 1
+    edges = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+    for i in range(placed, n):
+        u, w = rng.choice(order[:i]), order[i]
+        edges.append((u, w) if rng.random() < 0.5 else (w, u))
+    return general_from_edges(n, edges), min(len(c) for c in cycles)
+
+
+def random_dag(rng, n, max_degree=3):
+    """A digraph whose edges all run forward in a random order of 0..n-1."""
+    order = rng.sample(range(n), n)
+    return GeneralDigraph(n, tuple(
+        _row(rng, order[order.index(i) + 1:], max_degree) for i in range(n)))
+
+
+def random_bipartite_dag(rng, max_side=9, max_degree=3):
+    """A bipartite digraph whose edges all run forward in a random order of
+    all its vertices."""
+    na, nb = rng.randint(1, max_side), rng.randint(1, max_side)
+    order = rng.sample([A(i) for i in range(na)] + [B(j) for j in range(nb)], na + nb)
+    edges = []
+    for pos, u in enumerate(order):
+        later = [v for v in order[pos + 1:] if v.side is not u.side]
+        edges.extend((u, v) for v in rng.sample(later, min(len(later), rng.randint(0, max_degree))))
+    return from_edges(na, nb, edges)
 
 
 class TestVertexRef:
@@ -152,6 +224,9 @@ class TestGirth:
                 assert g.out[u] >> v & 1
             else:
                 assert g.has_edge(u, v)
+        if isinstance(g, BipartiteDigraph):
+            smaller = Side.A if g.a_size <= g.b_size else Side.B
+            assert cyc[0].side is smaller
         return gr
 
     def test_unbalanced_sides(self):
@@ -160,10 +235,7 @@ class TestGirth:
             g = random_bipartite(rng, max_side=7)
             if g.a_size == g.b_size:
                 continue
-            gr = self.check_against_enumeration(g)
-            if gr is not None:
-                smaller = Side.A if g.a_size < g.b_size else Side.B
-                assert gr.cycle[0].side is smaller
+            self.check_against_enumeration(g)
 
     def test_b_degrees_above_a_degrees(self):
         # every B-vertex has a larger out-degree than every A-vertex, so the
@@ -177,14 +249,77 @@ class TestGirth:
             b_out = tuple(sum(1 << i for i in rng.sample(range(na), rng.randint(a_deg + 1, na)))
                           for _ in range(nb))
             g = BipartiteDigraph(na, nb, a_out, b_out)
-            gr = self.check_against_enumeration(g)
-            if gr is not None and na <= nb:
-                assert gr.cycle[0].side is Side.A
+            self.check_against_enumeration(g)
 
     def test_general_against_enumeration(self):
         rng = random.Random(8)
         for _ in range(100):
             self.check_against_enumeration(random_general(rng))
+
+    # sparse digraphs do not end at depth 2, so the BFSs expand enough to
+    # build the in-rows and trim; count_calls on _transpose checks that the
+    # trimming is reached
+
+    def test_sparse_against_enumeration(self):
+        rng = random.Random(23)
+        with count_calls(digraph, "_transpose") as trimmed:
+            for _ in range(300):
+                self.check_against_enumeration(sparse_bipartite(rng))
+                self.check_against_enumeration(sparse_general(rng))
+        assert trimmed[0] >= 100
+
+    def test_cycles_with_tails(self):
+        rng = random.Random(24)
+        with count_calls(digraph, "_transpose") as trimmed:
+            for _ in range(200):
+                h, length = cycles_with_tails(rng, rng.randint(4, 12))
+                assert self.check_against_enumeration(h).length == length
+                assert self.check_against_enumeration(ch_reduce(h)).length == 2 * length
+        assert trimmed[0] >= 100
+
+    def test_dags_are_acyclic(self):
+        rng = random.Random(25)
+        with count_calls(digraph, "_transpose") as trimmed:
+            for _ in range(200):
+                assert self.check_against_enumeration(random_dag(rng, rng.randint(1, 12))) is None
+                assert self.check_against_enumeration(random_bipartite_dag(rng)) is None
+        assert trimmed[0] >= 100
+
+    @pytest.mark.parametrize("g", [layered_cycle(8, 4), circulant(6, 3, 4)],
+                             ids=["layered_8_4", "circulant_6_3_4"])
+    def test_against_reference_on_relabellings(self, g):
+        # too many cycles for networkx; the reference runs every start
+        # without trimming
+        rng = random.Random(26)
+        for _ in range(10):
+            h = relabel(g, rng.sample(range(g.a_size), g.a_size),
+                        rng.sample(range(g.b_size), g.b_size))
+            length = reference_shortest_cycle(h)[0]
+            assert shortest_cycle_length(h)[0] == length
+            gr = girth(h)
+            assert gr.length == length == len(set(gr.cycle))
+            assert gr.cycle[0].side is Side.A
+            for u, v in zip(gr.cycle, gr.cycle[1:] + gr.cycle[:1]):
+                assert h.has_edge(u, v)
+
+    def test_mid_size_sparse_against_reference(self):
+        rng = random.Random(27)
+        for _ in range(100):
+            g = sparse_bipartite(rng, max_side=40, max_degree=3)
+            found = shortest_cycle_length(g)
+            expect = reference_shortest_cycle(g)
+            assert (found and found[0]) == (expect and expect[0])
+
+    @pytest.mark.parametrize("g, length, limit", [
+        (layered_cycle(60, 20), 122, 7_440),
+        (circulant(30, 10, 10), 62, 1_822),
+    ], ids=["layered_60_20", "circulant_30_10_10"])
+    def test_pruned_expansions(self, g, length, limit):
+        # a tenth of the 74,401 and 18,223 frontier expansions that one full
+        # BFS from every start does; a search that stops trimming exceeds it
+        with count_calls(digraph, "_expand") as expansions:
+            assert shortest_cycle_length(g)[0] == length
+        assert expansions[0] <= limit
 
     def test_pinned_large_girths(self):
         assert girth(circulant(30, 10, 10)).length == 62
