@@ -7,7 +7,8 @@ repeated relaxation over an explicit adjacency dict, canonical forms and
 automorphism counts by trying every relabeling, the exhaustive search
 with nondecreasing A-rows as its only symmetry rule, and the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
-library's integer fact scan replaced.
+library's integer fact scan replaced.  The edge-list parser's reference is
+its former per-line loop, kept verbatim.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -27,9 +29,12 @@ from bipgirth.digraph import (
     GeneralDigraph,
     Side,
     VertexRef,
+    _LABEL,
+    _bipartite,
     _bits,
     _expand,
     _unified,
+    general_from_edges,
 )
 from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport
 
@@ -98,6 +103,39 @@ def count_calls(module, name: str):
         yield calls
     finally:
         setattr(module, name, original)
+
+
+_ARC = re.compile(rf"{_LABEL.pattern}\s+{_LABEL.pattern}")
+_PAIR = re.compile(r"()([0-9]+)\s+()([0-9]+)")  # an _ARC with empty sides
+
+
+def _arcs(lines, pattern):
+    """(tail side, tail, head side, head) from each nonblank numbered line."""
+    for no, ln in lines:
+        ln = ln.strip()
+        m = pattern.fullmatch(ln)
+        if m is not None:
+            yield m[1], int(m[2]), m[3], int(m[4])
+        elif ln:
+            raise ValueError(f"line {no}: expected two vertex labels, got {ln!r}")
+
+
+def reference_parse_edge_list(text: str):
+    """`io.parse_edge_list` as a loop over `str.splitlines`: one `fullmatch`
+    per line, each arc through the validating row builders."""
+    lines = enumerate(text.splitlines(), 1)
+    head = next((ln for _, ln in lines if ln.strip()), None)
+    if head is None:
+        raise ValueError("empty digraph file")
+    kind, *sizes = head.split()
+    if all(x.isascii() and x.isdigit() for x in sizes):
+        if kind == "bipartite" and len(sizes) == 2:
+            return _bipartite(int(sizes[0]), int(sizes[1]), _arcs(lines, _ARC))
+        if kind == "digraph" and len(sizes) == 1:
+            pairs = ((t, h) for _, t, _, h in _arcs(lines, _PAIR))
+            return general_from_edges(int(sizes[0]), pairs)
+    raise ValueError(f"bad header {head.strip()!r}: expected "
+                     "'bipartite <a_size> <b_size>' or 'digraph <n>'")
 
 
 def naive_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> list[set]:

@@ -322,10 +322,19 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("header", ["bipartite 1000000000 3", "digraph 1000000000"])
     def test_header_too_large_for_memory(self, header, tmp_path):
-        # the rows of 10^9 vertices need 8 GB; the child process runs with
-        # 1 GB of address space, lowered in the child only
+        self.girth_in_1gb(f"{header}\n", tmp_path)
+
+    def test_header_too_large_before_a_label_too_long(self, tmp_path):
+        # the per-line reader allocates the rows before it reads a label
+        self.girth_in_1gb(f"digraph 1000000000\n0 {'1' * 5000}\n", tmp_path)
+
+    @staticmethod
+    def girth_in_1gb(text, tmp_path):
+        """`girth` on `text` must fail with `error: out of memory`: the rows
+        of 10^9 vertices need 8 GB, and the child process runs with 1 GB of
+        address space, lowered in the child only."""
         path = tmp_path / "huge.txt"
-        path.write_text(f"{header}\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
 
         def limit_memory():
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
