@@ -15,14 +15,16 @@ from .digraph import (
     BipartiteDigraph,
     Side,
     VertexRef,
-    backward_layers,
+    _layers,
+    _unified,
+    compliance_profile,
     forward_layers,
     girth,
     is_compliant,
     star_union,
 )
 from .errors import PreconditionViolated
-from .lemmas import delta_table
+from .lemmas import CheckReport, IneqParams, bellsandwhistles_check, delta_table
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,12 @@ def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> Audi
     best = -1
     best_v = None
     entries = []
+    # the backward layers as masks: one reversed adjacency, no vertex sets
+    _, radj, _ = _unified(g.reverse())
     for j in range(g.b_size):
         v = VertexRef(Side.B, j)
-        prof = backward_layers(g, v, 3)
-        total = len(prof.layers[1]) + len(prof.layers[3])
+        masks = _layers(radj, g.a_size + j, 3)
+        total = masks[1].bit_count() + masks[3].bit_count()
         if total > best:
             best = total
             best_v = v
@@ -107,3 +111,15 @@ def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> Audi
     return AuditReport("bigindeg", passed, tuple(entries),
                        detail=f"max |M1|+|M3| = {best} at {best_v}, "
                               f"needed {needed}")
+
+
+def audit_bells(g: BipartiteDigraph) -> CheckReport:
+    """The bells-and-whistles inequality with R = S = all B-to-A edges and
+    the parameters measured from g: (lambda, beta) is its compliance
+    profile, mu = beta, x = gamma = 0 and y = 1."""
+    edges = [(t, h) for t, h in g.edges() if t.side is Side.B]
+    lam, beta = compliance_profile(g)
+    params = IneqParams(x=Fraction(0), y=Fraction(1), beta=beta,
+                        gamma=Fraction(0), lam=lam, mu=beta)
+    y_all = [VertexRef(Side.B, j) for j in range(g.b_size)]
+    return bellsandwhistles_check(g, edges, edges, params, [], y_all)

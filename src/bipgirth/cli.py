@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import constructions, frontier, lemmas, search
-from .audit import audit_bigindeg, audit_bigset
+from .audit import audit_bells, audit_bigindeg, audit_bigset
 from .digraph import (
     BipartiteDigraph,
     GeneralDigraph,
-    Side,
     VertexRef,
     backward_layers,
     compliance_profile,
@@ -183,7 +182,7 @@ def _cmd_search(args) -> int:
     mode = "randomized" if args.mode == "random" else args.mode
     cfg = search.SearchConfig(
         n_a=args.na, n_b=args.nb, k=args.k, alpha=args.alpha, beta=args.beta,
-        mode=mode, eulerian=args.eulerian, seed=args.seed,
+        mode=mode, eulerian=bool(args.eulerian), seed=args.seed or 0,
         node_limit=args.node_limit)
     report = search.find_counterexample(cfg)
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -234,14 +233,7 @@ def _cmd_audit(args) -> int:
         out = {"kind": report.kind, "passed": report.passed,
                "detail": report.detail}
     else:
-        # bells: R = S = all B-to-A edges, parameters measured from g
-        edges = [(t, h) for t, h in g.edges() if t.side is Side.B]
-        beta = min(m.bit_count() for m in g.a_out) / Fraction(g.b_size)
-        a_min = min(Fraction(m.bit_count(), g.a_size) for m in g.b_out)
-        params = lemmas.IneqParams(x=Fraction(0), y=Fraction(1), beta=beta,
-                                   gamma=Fraction(0), lam=a_min, mu=beta)
-        y_all = [VertexRef(Side.B, j) for j in range(g.b_size)]
-        rep = lemmas.bellsandwhistles_check(g, edges, edges, params, [], y_all)
+        rep = audit_bells(g)
         out = {"kind": "bells", "hypotheses_held": rep.hypotheses_held,
                "conclusion_held": rep.conclusion_held,
                "lhs": str(rep.lhs), "rhs": str(rep.rhs)}
@@ -320,10 +312,11 @@ def build_parser() -> _Parser:
     ps.add_argument("--nb", type=_natural, required=True)
     ps.add_argument("--alpha", type=parse_rational, required=True)
     ps.add_argument("--beta", type=parse_rational, required=True)
-    ps.add_argument("--eulerian", action="store_true")
+    ps.add_argument("--eulerian", action="store_true", default=None,
+                    help="exhaustive mode only")
     ps.add_argument("--mode", choices=["exhaustive", "random"],
                     default="exhaustive")
-    ps.add_argument("--seed", type=_integer, default=0)
+    ps.add_argument("--seed", type=_integer, help="with --mode random (default 0)")
     ps.add_argument("--node-limit", type=_positive_int,
                     default=search.DEFAULT_NODE_LIMIT)
     ps.set_defaults(fn=_cmd_search)
@@ -370,6 +363,10 @@ def _mode_error(args) -> Optional[str]:
                   if f not in takes]
     elif args.command == "lemmas" and not args.stress:
         where, unread = "lemmas without --stress", ["count", "seed"]
+    elif args.command == "search" and args.mode == "random":
+        where, unread = "search --mode random", ["eulerian"]
+    elif args.command == "search":
+        where, unread = "search without --mode random", ["seed"]
     else:
         return None
     ignored = [f for f in unread if getattr(args, f) is not None]

@@ -76,19 +76,7 @@ def circulant(k: int, s: int, t: int) -> BipartiteDigraph:
     """The interval-offset family: a_i -> b_i..b_{i+s-1}, b_j -> a_{j+1}..a_{j+t},
     subscripts mod n = k(s+t-1)+1.  Complies with exactly (t/n, s/n)."""
     n = CirculantParams(k, s, t).n
-    a_out = []
-    for i in range(n):
-        m = 0
-        for off in range(s):
-            m |= 1 << ((i + off) % n)
-        a_out.append(m)
-    b_out = []
-    for j in range(n):
-        m = 0
-        for off in range(1, t + 1):
-            m |= 1 << ((j + off) % n)
-        b_out.append(m)
-    return BipartiteDigraph(n, n, tuple(a_out), tuple(b_out))
+    return offset_circulant(OffsetSpec(n, frozenset(range(s)), frozenset(range(1, t + 1))))
 
 
 def offset_circulant(spec: OffsetSpec) -> BipartiteDigraph:

@@ -1,8 +1,11 @@
 """Core digraph representations and the distance/girth machinery.
 
 Bipartite digraphs are stored as bit-packed out-adjacency: each A-vertex
-holds an integer bitmask over B, each B-vertex a bitmask over A.  All
-degree comparisons are done with exact rationals; nothing here rounds.
+holds an integer bitmask over B, each B-vertex a bitmask over A.  Girth
+witnesses, distance layers and distance powers all read one routine's
+exact-distance layers (`_layers`) over one numbering, A-vertices first
+(`_unified`).  All degree comparisons are done with exact rationals;
+nothing here rounds.
 """
 
 from __future__ import annotations
@@ -92,9 +95,6 @@ class BipartiteDigraph:
     def out_mask(self, v: VertexRef) -> int:
         return self.a_out[v.index] if v.side is Side.A else self.b_out[v.index]
 
-    def out_degree(self, v: VertexRef) -> int:
-        return self.out_mask(v).bit_count()
-
     def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
         if u.side is v.side:
             return False
@@ -107,10 +107,6 @@ class BipartiteDigraph:
         for j, m in enumerate(self.b_out):
             for i in _bits(m):
                 yield (B(j), A(i))
-
-    def neighbours(self, v: VertexRef) -> frozenset[VertexRef]:
-        opp = v.side.complement
-        return frozenset(VertexRef(opp, i) for i in _bits(self.out_mask(v)))
 
     @cached_property
     def a_in(self) -> tuple[int, ...]:
@@ -144,9 +140,6 @@ class GeneralDigraph:
         for i, m in enumerate(self.out):
             for j in _bits(m):
                 yield (i, j)
-
-    def reverse(self) -> "GeneralDigraph":
-        return GeneralDigraph(self.n, _transpose(self.out, self.n, self.n))
 
 
 AnyDigraph = Union[BipartiteDigraph, GeneralDigraph]
@@ -309,15 +302,21 @@ def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
     return best
 
 
-def _cycle_through(adj: list[int], v: int, length: int) -> list[int]:
-    """One cycle of the given length through v, when no shorter one passes
-    through v, read back from the exact-distance layers out of v."""
+def _layers(adj: list[int], v: int, depth: int) -> list[int]:
+    """The exact-distance layer masks 0..depth out of v over bitmask rows."""
     layers = [1 << v]
     seen = layers[0]
-    for _ in range(length - 1):
+    for _ in range(depth):
         nxt = _expand(adj, layers[-1]) & ~seen
         seen |= nxt
         layers.append(nxt)
+    return layers
+
+
+def _cycle_through(adj: list[int], v: int, length: int) -> list[int]:
+    """One cycle of the given length through v, when no shorter one passes
+    through v, read back from the exact-distance layers out of v."""
+    layers = _layers(adj, v, length - 1)
     path = []
     cur = v
     for layer in reversed(layers[1:]):
@@ -343,48 +342,33 @@ def girth(g: AnyDigraph) -> Optional[Girth]:
 # Distance layers
 # ---------------------------------------------------------------------------
 
-class Direction(Enum):
-    forward = "forward"
-    backward = "backward"
-
-
 @dataclass(frozen=True)
 class LayerProfile:
     source: VertexRef
-    direction: Direction
     layers: tuple[frozenset[VertexRef], ...]  # layers[i] = exact-distance-i set
     max_i: int
 
-    def layer_size(self, i: int) -> int:
-        return len(self.layers[i])
 
-
-def forward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int,
-                   _direction: Direction = Direction.forward) -> LayerProfile:
-    """Exact-distance layers from v by level-synchronous bitmask expansion."""
+def forward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> LayerProfile:
+    """Exact-distance layers from v: `_layers` over the A-first numbering,
+    each mask split back by side."""
     if max_i < 0:
         raise IndexOutOfRange(f"max_i={max_i} is below 0")
     size = g.a_size if v.side is Side.A else g.b_size
     if not 0 <= v.index < size:
         raise IndexOutOfRange(f"{v} out of range for side size {size}")
-    layers: list[frozenset[VertexRef]] = [frozenset([v])]
-    seen = {Side.A: 0, Side.B: 0}
-    seen[v.side] = 1 << v.index
-    frontier = 1 << v.index
-    side = v.side
-    for _ in range(max_i):
-        nxt = _expand(g.a_out if side is Side.A else g.b_out, frontier)
-        side = side.complement
-        nxt &= ~seen[side]
-        seen[side] |= nxt
-        layers.append(frozenset(VertexRef(side, i) for i in _bits(nxt)))
-        frontier = nxt
-    return LayerProfile(v, _direction, tuple(layers), max_i)
+    a = g.a_size
+    a_mask = (1 << a) - 1
+    _, adj, _ = _unified(g)
+    masks = _layers(adj, v.index if v.side is Side.A else a + v.index, max_i)
+    return LayerProfile(v, tuple(
+        frozenset([*(VertexRef(Side.A, i) for i in _bits(m & a_mask)),
+                   *(VertexRef(Side.B, j) for j in _bits(m >> a))]) for m in masks), max_i)
 
 
 def backward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> LayerProfile:
     """Layers of vertices reaching v, i.e. forward layers of the reversal."""
-    return forward_layers(g.reverse(), v, max_i, _direction=Direction.backward)
+    return forward_layers(g.reverse(), v, max_i)
 
 
 def star_union(profile: LayerProfile, i: int) -> frozenset[VertexRef]:
@@ -401,16 +385,6 @@ def star_union(profile: LayerProfile, i: int) -> frozenset[VertexRef]:
 # Compliance
 # ---------------------------------------------------------------------------
 
-def is_compliant(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> bool:
-    """Every A-vertex out-degree >= beta*|B| and B-vertex >= alpha*|A| (non-strict)."""
-    if g.a_size == 0 or g.b_size == 0:
-        raise NullDigraph("compliance requires both sides nonempty")
-    bb = beta * g.b_size
-    aa = alpha * g.a_size
-    return (all(m.bit_count() >= bb for m in g.a_out)
-            and all(m.bit_count() >= aa for m in g.b_out))
-
-
 def compliance_profile(g: BipartiteDigraph) -> tuple[Fraction, Fraction]:
     """Maximal (alpha, beta) the digraph complies with, as exact rationals."""
     if g.a_size == 0 or g.b_size == 0:
@@ -418,6 +392,12 @@ def compliance_profile(g: BipartiteDigraph) -> tuple[Fraction, Fraction]:
     min_a = min(m.bit_count() for m in g.a_out)
     min_b = min(m.bit_count() for m in g.b_out)
     return (Fraction(min_b, g.a_size), Fraction(min_a, g.b_size))
+
+
+def is_compliant(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> bool:
+    """Every A-vertex out-degree >= beta*|B| and B-vertex >= alpha*|A| (non-strict)."""
+    a, b = compliance_profile(g)
+    return alpha <= a and beta <= b
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +411,8 @@ def distance_power(g: BipartiteDigraph, d: int) -> BipartiteDigraph:
         raise IndexOutOfRange("d must be >= 1")
     if d % 2 == 0:
         raise EvenDistance(f"d={d} must be odd")
-    b_out = []
-    for j in range(g.b_size):
-        profile = forward_layers(g, B(j), d)
-        mask = 0
-        for i in range(1, d + 1, 2):
-            for u in profile.layers[i]:
-                mask |= 1 << u.index
-        b_out.append(mask)
-    return BipartiteDigraph(g.a_size, g.b_size, g.a_out, tuple(b_out))
+    a = g.a_size
+    _, adj, _ = _unified(g)
+    # the odd layers out of a B-vertex lie in A and are disjoint: their sum is their union
+    b_out = tuple(sum(_layers(adj, a + j, d)[1::2]) for j in range(g.b_size))
+    return BipartiteDigraph(a, g.b_size, g.a_out, b_out)

@@ -107,9 +107,10 @@ def parse_edge_list(text: str) -> AnyDigraph:
 def to_dot(g: AnyDigraph) -> str:
     if isinstance(g, GeneralDigraph):
         nodes = [f"  v{i};" for i in range(g.n)]
-        arcs = [f"  v{i} -> v{j};" for i, j in g.edges()]
+        arcs = [f"  v{i} -> v{j};" for i, m in enumerate(g.out) for j in _bits(m)]
     else:
         nodes = [f"  A{i} [shape=box];" for i in range(g.a_size)]
         nodes += [f"  B{j} [shape=oval];" for j in range(g.b_size)]
-        arcs = [f"  {u} -> {v};" for u, v in g.edges()]
+        arcs = [f"  A{i} -> B{j};" for i, m in enumerate(g.a_out) for j in _bits(m)]
+        arcs += [f"  B{j} -> A{i};" for j, m in enumerate(g.b_out) for i in _bits(m)]
     return "\n".join(["digraph G {", *nodes, *arcs, "}"]) + "\n"

@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructions import random_compliant, required_degrees
-from .digraph import BipartiteDigraph, _bits, _expand, _transpose, girth, is_compliant
+from .digraph import BipartiteDigraph, _bits, _expand, _transpose, _unified, girth, is_compliant
 from .errors import InfeasibleConfig
 
 DEFAULT_NODE_LIMIT = 10 ** 9
@@ -84,6 +84,8 @@ class SearchConfig:
             raise InfeasibleConfig("sizes, k and node_limit must be positive")
         if self.mode not in ("exhaustive", "randomized"):
             raise InfeasibleConfig(f"unknown mode {self.mode!r}")
+        if self.eulerian and self.mode == "randomized":
+            raise InfeasibleConfig("randomized mode does not take eulerian")
         d_a = math.ceil(self.beta * self.n_b)
         d_b = math.ceil(self.alpha * self.n_a)
         if d_a > self.n_b or d_b > self.n_a:
@@ -144,9 +146,10 @@ def _refine(col: list[int], out: list[list[int]], inn: list[list[int]]) -> None:
 
 def _canonical(g: BipartiteDigraph) -> tuple[bytes, int]:
     """Canonical code and automorphism count (see the module docstring)."""
-    a, n = g.a_size, g.a_size + g.b_size
-    out = [[a + j for j in _bits(m)] for m in g.a_out] + [list(_bits(m)) for m in g.b_out]
-    inn = [[a + j for j in _bits(m)] for m in g.a_in] + [list(_bits(m)) for m in g.b_in]
+    a = g.a_size
+    n, fwd, _ = _unified(g)
+    out = [list(_bits(m)) for m in fwd]
+    inn = [list(_bits(m)) for m in _unified(g.reverse())[1]]
     orbit = list(range(n))  # union-find over the automorphisms found so far
     first = best = None  # first: the code and vertex order of the first leaf
     count = 1

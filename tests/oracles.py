@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's own algorithms: girth by
 brute-force simple-cycle enumeration (networkx) and, for inputs too large
-for that, by one full BFS from every start without trimming, layers by naive
-repeated relaxation over an explicit adjacency dict, canonical forms and
-automorphism counts by trying every relabeling, the exhaustive search
+for that, by one full BFS from every start without trimming, layers (and
+the distance powers read from them) by naive repeated relaxation over an
+explicit adjacency dict, canonical forms and automorphism counts by
+trying every relabeling, the exhaustive search
 with nondecreasing A-rows as its only symmetry rule, and the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
 library's integer fact scan replaced.  The edge-list parser's reference is
-its former per-line loop, kept verbatim.
+its former per-line loop, kept verbatim; so is the circulant's.
 """
 
 from __future__ import annotations
@@ -160,6 +161,34 @@ def naive_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> list[set]:
         if d <= max_i:
             layers[d].add(u)
     return layers
+
+
+def naive_distance_power(g: BipartiteDigraph, d: int) -> BipartiteDigraph:
+    """`distance_power` from `naive_layers`: each B-vertex gains an edge to
+    every A-vertex at an odd distance up to d."""
+    b_out = []
+    for j in range(g.b_size):
+        layers = naive_layers(g, VertexRef(Side.B, j), d)
+        b_out.append(sum(1 << u.index for i in range(1, d + 1, 2) for u in layers[i]))
+    return BipartiteDigraph(g.a_size, g.b_size, g.a_out, tuple(b_out))
+
+
+def reference_circulant(k: int, s: int, t: int) -> BipartiteDigraph:
+    """`constructions.circulant` as its former loop over the offsets of each row."""
+    n = k * (s + t - 1) + 1
+    a_out = []
+    for i in range(n):
+        m = 0
+        for off in range(s):
+            m |= 1 << ((i + off) % n)
+        a_out.append(m)
+    b_out = []
+    for j in range(n):
+        m = 0
+        for off in range(1, t + 1):
+            m |= 1 << ((j + off) % n)
+        b_out.append(m)
+    return BipartiteDigraph(n, n, tuple(a_out), tuple(b_out))
 
 
 def random_bipartite(rng: random.Random, max_side: int = 6) -> BipartiteDigraph:

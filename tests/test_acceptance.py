@@ -12,22 +12,12 @@ from fractions import Fraction
 import pytest
 
 from bipgirth import lemmas
-from bipgirth.audit import audit_bigindeg, audit_bigset
+from bipgirth.audit import audit_bells, audit_bigindeg, audit_bigset
 from bipgirth.constructions import ch_reduce, circulant, layered_cycle
-from bipgirth.digraph import (
-    A,
-    B,
-    BipartiteDigraph,
-    Side,
-    compliance_profile,
-    distance_power,
-    girth,
-)
+from bipgirth.digraph import A, compliance_profile, distance_power, girth
 from bipgirth.errors import HypothesisViolated
 from bipgirth.lemmas import (
-    IneqParams,
     all_fact_ids,
-    bellsandwhistles_check,
     delta_table,
     f1_root_bracket,
     fact_scan,
@@ -204,15 +194,6 @@ def test_criterion_9_ch_reduce_doubling(report):
     assert ok
 
 
-def _bells_measured(g: BipartiteDigraph):
-    edges = [(t, h) for t, h in g.edges() if t.side is Side.B]
-    beta = Fraction(min(m.bit_count() for m in g.a_out), g.b_size)
-    lam = min(Fraction(m.bit_count(), g.a_size) for m in g.b_out)
-    params = IneqParams(Fraction(0), Fraction(1), beta, Fraction(0), lam, beta)
-    y_all = [B(j) for j in range(g.b_size)]
-    return bellsandwhistles_check(g, edges, edges, params, [], y_all)
-
-
 def test_criterion_10_audit_suites(report):
     t0 = time.perf_counter()
     violations = 0
@@ -240,7 +221,7 @@ def test_criterion_10_audit_suites(report):
         base = circulant(k, 1, 1)
         for d in range(1, k, 2):
             try:
-                rep = _bells_measured(distance_power(base, d))
+                rep = audit_bells(distance_power(base, d))
             except HypothesisViolated:
                 continue  # hypothesis-failing instances are out of scope
             checked += 1

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from bipgirth.audit import audit_bigset
+from bipgirth.audit import audit_bigindeg, audit_bigset
 from bipgirth.constructions import circulant
-from bipgirth.digraph import A
+from bipgirth.digraph import A, B, BipartiteDigraph, backward_layers
+
+from oracles import random_bipartite
 
 
 def test_bigset_rejects_empty_horizon():
@@ -13,3 +16,16 @@ def test_bigset_rejects_empty_horizon():
     assert audit_bigset(g, 2, third, third, Fraction(3, 2), A(0), horizon=1).passed
     with pytest.raises(ValueError):
         audit_bigset(g, 2, third, third, Fraction(3, 2), A(0), horizon=0)
+
+
+def test_bigindeg_totals_are_backward_layer_sizes():
+    rng = random.Random(21)
+    for _ in range(40):
+        g = random_bipartite(rng, max_side=7)
+        # drop each B->A arc that closes a 2-cycle, so the girth is at least 4
+        g = BipartiteDigraph(g.a_size, g.b_size, g.a_out,
+                             tuple(m & ~g.b_in[j] for j, m in enumerate(g.b_out)))
+        rep = audit_bigindeg(g, Fraction(0), Fraction(0))
+        for e in rep.entries:
+            layers = backward_layers(g, B(e.i), 3).layers
+            assert e.layer_size == len(layers[1]) + len(layers[3])

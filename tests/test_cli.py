@@ -314,9 +314,15 @@ class TestMalformedInput:
          "error: argument --k: '1_0' is not a nonnegative integer"),
         (["lemmas", "--stress", "newineq", "--count", "\u0661\u0660"],
          "error: argument --count: '\u0661\u0660' is not a positive integer"),
+        (["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
+          "--beta", "1/3", "--seed", "5"],
+         "error: search without --mode random ignores --seed"),
+        (["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
+          "--beta", "1/3", "--mode", "random", "--eulerian"],
+         "error: search --mode random ignores --eulerian"),
     ], ids=["extra_token", "arabic_digit", "negative_max", "lemmas_count",
             "bells_options", "bigindeg_vertex", "arabic_k", "arabic_alpha",
-            "underscore_k", "arabic_count"])
+            "underscore_k", "arabic_count", "search_seed", "random_eulerian"])
     def test_message_names_the_cause(self, argv, message, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys) == message
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from bipgirth.digraph import (
 )
 from bipgirth.errors import InfeasibleDegree, NullDigraph
 
-from oracles import brute_girth, random_general
+from oracles import brute_girth, random_general, reference_circulant
 
 
 class TestLayeredCycle:
@@ -79,6 +80,8 @@ class TestOffsetCirculant:
         g = circulant(2, 2, 1)
         spec = OffsetSpec(5, frozenset([0, 1]), frozenset([1]))
         assert offset_circulant(spec) == g
+        for k, s, t in itertools.product(range(1, 6), repeat=3):
+            assert circulant(k, s, t) == reference_circulant(k, s, t)
 
     def test_offsets_reduced_mod_n(self):
         spec = OffsetSpec(5, frozenset([7]), frozenset([-1]))

@@ -41,6 +41,7 @@ from bipgirth.io import parse_edge_list, to_dot, to_edge_list
 from oracles import (
     brute_girth,
     count_calls,
+    naive_distance_power,
     naive_layers,
     random_bipartite,
     random_general,
@@ -345,11 +346,12 @@ class TestLayers:
         rng = random.Random(11)
         for _ in range(60):
             g = random_bipartite(rng)
-            v = VertexRef(Side.A, rng.randrange(g.a_size))
-            prof = forward_layers(g, v, 7)
-            naive = naive_layers(g, v, 7)
-            for i in range(8):
-                assert set(prof.layers[i]) == naive[i]
+            for side, size in ((Side.A, g.a_size), (Side.B, g.b_size)):
+                v = VertexRef(side, rng.randrange(size))
+                for layers, naive in ((forward_layers(g, v, 7), naive_layers(g, v, 7)),
+                                      (backward_layers(g, v, 7),
+                                       naive_layers(g.reverse(), v, 7))):
+                    assert [set(layer) for layer in layers.layers] == naive
 
     def test_reversal_duality(self):
         rng = random.Random(12)
@@ -416,6 +418,13 @@ class TestDistancePower:
             assert h.has_edge(B(i), A((i + 2) % 5))
         assert girth(h).length == girth(h).length == brute_girth(h)
 
+    def test_against_naive_layers(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            g = random_bipartite(rng, max_side=7)
+            for d in (1, 3, 5):
+                assert distance_power(g, d) == naive_distance_power(g, d)
+
     def test_six_cycle_d5(self):
         h = distance_power(six_cycle(), 5)
         for j in range(3):
@@ -452,6 +461,21 @@ class TestIO:
     def test_dot_shapes(self):
         dot = to_dot(six_cycle())
         assert "shape=box" in dot and "shape=oval" in dot
+
+    @pytest.mark.parametrize("g, text", [
+        (from_edges(2, 3, [(A(0), B(2)), (A(0), B(1)), (A(1), B(0)),
+                           (B(1), A(0)), (B(2), A(1)), (B(2), A(0))]),
+         "digraph G {\n  A0 [shape=box];\n  A1 [shape=box];\n  B0 [shape=oval];\n"
+         "  B1 [shape=oval];\n  B2 [shape=oval];\n  A0 -> B1;\n  A0 -> B2;\n"
+         "  A1 -> B0;\n  B1 -> A0;\n  B2 -> A0;\n  B2 -> A1;\n}\n"),
+        (GeneralDigraph(3, (0b110, 0b001, 0)),
+         "digraph G {\n  v0;\n  v1;\n  v2;\n  v0 -> v1;\n  v0 -> v2;\n  v1 -> v0;\n}\n"),
+        (BipartiteDigraph(1, 2, (0,), (0, 0)),
+         "digraph G {\n  A0 [shape=box];\n  B0 [shape=oval];\n  B1 [shape=oval];\n}\n"),
+        (GeneralDigraph(2, (0, 0)), "digraph G {\n  v0;\n  v1;\n}\n"),
+    ], ids=["bipartite", "general", "bipartite_no_arcs", "general_no_arcs"])
+    def test_dot_text(self, g, text):
+        assert to_dot(g) == text
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())

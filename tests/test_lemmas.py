@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from bipgirth import lemmas
+from bipgirth.audit import audit_bells
 from bipgirth.constructions import circulant
 from bipgirth.digraph import B, Side, VertexRef, distance_power, from_edges
 from bipgirth.errors import (
@@ -237,22 +238,13 @@ class TestAppliedineq:
 
 
 class TestBellsAndWhistles:
-    @staticmethod
-    def measured_check(g):
-        edges = [(t, h) for t, h in g.edges() if t.side is Side.B]
-        beta = F(min(m.bit_count() for m in g.a_out), g.b_size)
-        lam = min(F(m.bit_count(), g.a_size) for m in g.b_out)
-        params = IneqParams(F(0), F(1), beta, F(0), lam, beta)
-        y_all = [VertexRef(Side.B, j) for j in range(g.b_size)]
-        return bellsandwhistles_check(g, edges, edges, params, [], y_all)
-
     def test_distance_power_instance(self):
         g = distance_power(circulant(4, 1, 1), 3)
-        rep = self.measured_check(g)
+        rep = audit_bells(g)
         assert rep.hypotheses_held and rep.conclusion_held
 
     def test_six_cycle(self):
-        rep = self.measured_check(circulant(2, 1, 1))
+        rep = audit_bells(circulant(2, 1, 1))
         assert rep.hypotheses_held and rep.conclusion_held
 
     def test_bad_edge_sets(self):

@@ -135,6 +135,8 @@ class TestSearchConfig:
             SearchConfig(3, 3, 2, F(1, 3), F(1, 3), mode="magic")
         with pytest.raises(InfeasibleConfig):
             SearchConfig(3, 3, 2, F(1, 3), F(1, 3), node_limit=0)
+        with pytest.raises(InfeasibleConfig):
+            SearchConfig(3, 3, 2, F(1, 3), F(1, 3), mode="randomized", eulerian=True)
 
     def test_eulerian_balance(self):
         with pytest.raises(InfeasibleConfig):
