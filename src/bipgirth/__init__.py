@@ -7,7 +7,6 @@ from .digraph import (
     BipartiteDigraph,
     GeneralDigraph,
     Girth,
-    LayerProfile,
     Side,
     VertexRef,
     backward_layers,
@@ -21,7 +20,6 @@ from .digraph import (
     star_union,
 )
 from .constructions import (
-    CirculantParams,
     OffsetSpec,
     ch_reduce,
     circulant,

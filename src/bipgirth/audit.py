@@ -33,8 +33,6 @@ class AuditEntry:
     branch: str          # "layer", "star", or "both"
     layer_size: int
     star_size: int       # |N*_{i-1}(v)|
-    layer_needed: Fraction
-    star_needed: Fraction
     ok: bool
 
 
@@ -62,24 +60,23 @@ def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
         raise PreconditionViolated(f"delta={delta} is not a table entry at k={k}")
     if horizon is None:
         horizon = 2 * k + 2
-    profile = forward_layers(g, v, horizon)
+    layers = forward_layers(g, v, horizon)
     entries = []
     for i in range(1, horizon + 1):
-        layer = profile.layers[i]
+        layer = layers[i]
         layer_side = v.side if i % 2 == 0 else v.side.complement
         if layer_side is Side.A:
-            layer_needed = alpha * g.a_size
-            star_needed = beta * delta * g.b_size
+            layer_bar = alpha * g.a_size
+            star_bar = beta * delta * g.b_size
         else:
-            layer_needed = beta * g.b_size
-            star_needed = alpha * delta * g.a_size
-        star_size = len(star_union(profile, i - 1)) if i >= 2 else 0
-        by_layer = len(layer) >= layer_needed
-        by_star = star_size > star_needed
+            layer_bar = beta * g.b_size
+            star_bar = alpha * delta * g.a_size
+        star_size = len(star_union(layers, i - 1)) if i >= 2 else 0
+        by_layer = len(layer) >= layer_bar
+        by_star = star_size > star_bar
         branch = {(True, True): "both", (True, False): "layer",
                   (False, True): "star", (False, False): "none"}[(by_layer, by_star)]
-        entries.append(AuditEntry(i, branch, len(layer), star_size,
-                                  layer_needed, star_needed, by_layer or by_star))
+        entries.append(AuditEntry(i, branch, len(layer), star_size, by_layer or by_star))
     passed = all(e.ok for e in entries)
     return AuditReport("bigset", passed, tuple(entries),
                        detail=f"v={v}, k={k}, delta={delta}")
@@ -105,8 +102,7 @@ def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> Audi
         if total > best:
             best = total
             best_v = v
-        entries.append(AuditEntry(j, "layer", total, 0, needed, Fraction(0),
-                                  total >= needed))
+        entries.append(AuditEntry(j, "layer", total, 0, total >= needed))
     passed = best >= needed
     return AuditReport("bigindeg", passed, tuple(entries),
                        detail=f"max |M1|+|M3| = {best} at {best_v}, "

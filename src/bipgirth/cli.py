@@ -141,10 +141,10 @@ def _cmd_layers(args) -> int:
     g = _load(args.file)
     v = VertexRef.parse(args.vertex)
     fn = backward_layers if args.backward else forward_layers
-    profile = fn(g, v, args.max)
+    layers = fn(g, v, args.max)
     for i in range(args.max + 1):
         members = " ".join(str(u) for u in sorted(
-            profile.layers[i], key=lambda u: (u.side.value, u.index)))
+            layers[i], key=lambda u: (u.side.value, u.index)))
         print(f"{i}: {members}")
     return 0
 

@@ -17,21 +17,6 @@ from .errors import InfeasibleDegree, NullDigraph
 
 
 @dataclass(frozen=True)
-class CirculantParams:
-    k: int
-    s: int
-    t: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.s < 1 or self.t < 1:
-            raise ValueError("k, s, t must all be positive")
-
-    @property
-    def n(self) -> int:
-        return self.k * (self.s + self.t - 1) + 1
-
-
-@dataclass(frozen=True)
 class OffsetSpec:
     n: int
     out_offsets: frozenset[int]  # a_i -> b_{i+x} for x in out_offsets
@@ -75,7 +60,9 @@ def layered_cycle(k: int, t: int) -> BipartiteDigraph:
 def circulant(k: int, s: int, t: int) -> BipartiteDigraph:
     """The interval-offset family: a_i -> b_i..b_{i+s-1}, b_j -> a_{j+1}..a_{j+t},
     subscripts mod n = k(s+t-1)+1.  Complies with exactly (t/n, s/n)."""
-    n = CirculantParams(k, s, t).n
+    if k < 1 or s < 1 or t < 1:
+        raise ValueError("k, s, t must all be positive")
+    n = k * (s + t - 1) + 1
     return offset_circulant(OffsetSpec(n, frozenset(range(s)), frozenset(range(1, t + 1))))
 
 

@@ -37,7 +37,7 @@ class Side(Enum):
         return Side.B if self is Side.A else Side.A
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class VertexRef:
     side: Side
     index: int
@@ -111,11 +111,11 @@ class BipartiteDigraph:
     @cached_property
     def a_in(self) -> tuple[int, ...]:
         """Per A-vertex, bitmask of B-vertices with an edge into it."""
-        return _transpose(self.b_out, self.a_size, self.b_size)
+        return _transpose(self.b_out, self.a_size)
 
     @cached_property
     def b_in(self) -> tuple[int, ...]:
-        return _transpose(self.a_out, self.b_size, self.a_size)
+        return _transpose(self.a_out, self.b_size)
 
     def reverse(self) -> "BipartiteDigraph":
         return BipartiteDigraph(self.a_size, self.b_size, self.a_in, self.b_in)
@@ -145,7 +145,7 @@ class GeneralDigraph:
 AnyDigraph = Union[BipartiteDigraph, GeneralDigraph]
 
 
-def _transpose(rows: tuple[int, ...], n_cols_out: int, n_rows: int) -> tuple[int, ...]:
+def _transpose(rows: tuple[int, ...], n_cols_out: int) -> tuple[int, ...]:
     cols = [0] * n_cols_out
     for r, m in enumerate(rows):
         bit = 1 << r
@@ -284,7 +284,7 @@ def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
             if budget is None:
                 budget = sum(map(int.bit_count, adj))
             if work >= budget:
-                radj = _transpose(adj, n, n)
+                radj = _transpose(adj, n)
                 live = ~dead
                 dead |= sum(1 << u for u, m in enumerate(adj) if not m & live)
                 dead = _trim(adj, radj, dead, list(_bits(dead)))
@@ -342,16 +342,10 @@ def girth(g: AnyDigraph) -> Optional[Girth]:
 # Distance layers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerProfile:
-    source: VertexRef
-    layers: tuple[frozenset[VertexRef], ...]  # layers[i] = exact-distance-i set
-    max_i: int
-
-
-def forward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> LayerProfile:
-    """Exact-distance layers from v: `_layers` over the A-first numbering,
-    each mask split back by side."""
+def forward_layers(g: BipartiteDigraph, v: VertexRef,
+                   max_i: int) -> tuple[frozenset[VertexRef], ...]:
+    """Exact-distance layers 0..max_i from v (entry i is the set at distance
+    i): `_layers` over the A-first numbering, each mask split back by side."""
     if max_i < 0:
         raise IndexOutOfRange(f"max_i={max_i} is below 0")
     size = g.a_size if v.side is Side.A else g.b_size
@@ -361,23 +355,24 @@ def forward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> LayerProfil
     a_mask = (1 << a) - 1
     _, adj, _ = _unified(g)
     masks = _layers(adj, v.index if v.side is Side.A else a + v.index, max_i)
-    return LayerProfile(v, tuple(
-        frozenset([*(VertexRef(Side.A, i) for i in _bits(m & a_mask)),
-                   *(VertexRef(Side.B, j) for j in _bits(m >> a))]) for m in masks), max_i)
+    return tuple(frozenset([*(VertexRef(Side.A, i) for i in _bits(m & a_mask)),
+                            *(VertexRef(Side.B, j) for j in _bits(m >> a))])
+                 for m in masks)
 
 
-def backward_layers(g: BipartiteDigraph, v: VertexRef, max_i: int) -> LayerProfile:
+def backward_layers(g: BipartiteDigraph, v: VertexRef,
+                    max_i: int) -> tuple[frozenset[VertexRef], ...]:
     """Layers of vertices reaching v, i.e. forward layers of the reversal."""
     return forward_layers(g.reverse(), v, max_i)
 
 
-def star_union(profile: LayerProfile, i: int) -> frozenset[VertexRef]:
+def star_union(layers: tuple[frozenset[VertexRef], ...], i: int) -> frozenset[VertexRef]:
     """Union of the layers at 1 <= j <= i with j of the same parity as i."""
-    if not 1 <= i <= profile.max_i:
-        raise IndexOutOfRange(f"i={i} outside 1..{profile.max_i}")
+    if not 1 <= i <= len(layers) - 1:
+        raise IndexOutOfRange(f"i={i} outside 1..{len(layers) - 1}")
     out: frozenset[VertexRef] = frozenset()
     for j in range(i, 0, -2):
-        out |= profile.layers[j]
+        out |= layers[j]
     return out
 
 

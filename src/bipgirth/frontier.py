@@ -26,9 +26,6 @@ class AlphaBeta:
         if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
             raise ValueError(f"({self.alpha},{self.beta}) outside [0,1]^2")
 
-    def dominates(self, other: "AlphaBeta") -> bool:
-        return self.alpha >= other.alpha and self.beta >= other.beta
-
 
 class Status(Enum):
     GOOD = "good"
@@ -151,9 +148,10 @@ def region_csv(k: int, resolution: int) -> str:
 _SVG_COLORS = {Status.GOOD: "#9be29b", Status.BAD: "#e89b9b", Status.UNKNOWN: "#d9d9d9"}
 
 
-def region_svg(k: int, resolution: int, size: int = 600) -> str:
-    """Chart of the classified grid; for k=2 this mirrors the staircase of
-    bad construction points and the lines 2a+b=1, a+2b=1."""
+def region_svg(k: int, resolution: int) -> str:
+    """Chart of the classified grid, 600 pixels square; for k=2 this mirrors
+    the staircase of bad construction points and the lines 2a+b=1, a+2b=1."""
+    size = 600
     cell = size / resolution
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">']

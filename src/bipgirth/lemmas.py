@@ -2,8 +2,8 @@
 the large-k threshold, delta constants, and the numeric fact catalog.
 
 All arithmetic is exact (`Fraction`, or `int` in cleared form).  The fact
-scan decides each interval fact at the points of a grid in integers, with
-its denominators cleared by a multiplier positive on its interval; its
+scan decides each fact at the points of a grid over its interval in
+integers, with its denominators cleared by a multiplier positive there; its
 results are still evidence at the stated resolution, not proofs.  The
 quadratic minimiser is deliberately independent of the bound formulas: it
 solves the minimisation in closed form and certifies its minimising triple
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .digraph import BipartiteDigraph, Side, VertexRef, girth
+from .digraph import BipartiteDigraph, Side, VertexRef, _bits, girth
 from .errors import (
     BadEdgeSets,
     CaseNotApplicable,
@@ -43,7 +43,6 @@ class DeltaEntry:
     """out-degree >= |V|/delta forces girth <= girth_bound (at this k)."""
     delta: Fraction
     girth_bound: int
-    source: str
     claimed_only: bool = False
 
 
@@ -53,14 +52,14 @@ def delta_table(k: int) -> list[DeltaEntry]:
         raise ValueError("k must be >= 1")
     entries = []
     if k == 3:
-        entries.append(DeltaEntry(DELTA3, 3, "delta3"))
+        entries.append(DeltaEntry(DELTA3, 3))
     if k == 4:
-        entries.append(DeltaEntry(DELTA4, 4, "delta4"))
-    entries.append(DeltaEntry(Fraction(3 * k, 4), k, "3k/4"))
+        entries.append(DeltaEntry(DELTA4, 4))
+    entries.append(DeltaEntry(Fraction(3 * k, 4), k))
     if k > 74:
-        entries.append(DeltaEntry(Fraction(k - 74), k - 1, "k-74"))
+        entries.append(DeltaEntry(Fraction(k - 74), k - 1))
     if k == 6:
-        entries.append(DeltaEntry(DELTA12, 6, "girth-12 sketch", claimed_only=True))
+        entries.append(DeltaEntry(DELTA12, 6, claimed_only=True))
     return entries
 
 
@@ -99,9 +98,6 @@ class NewineqInstance:
         if case == "c":
             return b >= x * g and y * b + x * (1 - y) * g <= m
         raise ValueError(f"unknown case {case!r}")
-
-    def applicable_cases(self) -> list[str]:
-        return [c for c in "abc" if self.eligible(c)]
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,7 @@ def check_newineq(inst: NewineqInstance) -> bool:
     """The exact minimum respects the proved bound in every applicable case."""
     low = newineq_min_oracle(inst)
     return low is None or all(low >= newineq_bound(inst, case)
-                              for case in inst.applicable_cases())
+                              for case in "abc" if inst.eligible(case))
 
 
 def random_newineq_instance(case: str, rng: random.Random) -> NewineqInstance:
@@ -299,7 +295,6 @@ Edge = tuple[VertexRef, VertexRef]
 def _mixed_four_cycle(g: BipartiteDigraph, R: frozenset[Edge],
                       S: frozenset[Edge]) -> bool:
     """Is there a directed 4-cycle with an edge in R and a different edge in S?"""
-    from .digraph import _bits
     for b1 in range(g.b_size):
         for a2 in _bits(g.b_out[b1]):
             e1 = (VertexRef(Side.B, b1), VertexRef(Side.A, a2))
@@ -444,9 +439,10 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction,
     return range(start, stop + 1)
 
 
-# An interval fact is decided at b = n/d (d > 0) in integers: each check
-# clears its denominators by a multiplier that is positive on the fact's
-# interval, and returns its margin as a pair (num, den) with den > 0.
+# A fact is decided at b = n/d (d > 0) in integers: each check clears its
+# denominators by a multiplier that is positive on the fact's interval, and
+# returns its margin as a pair (num, den) with den > 0.  A point fact (F4,
+# F9) has the one-point interval [0, 0]: it reads neither n nor d.
 IntervalCheck = Callable[[int, int], tuple[bool, Optional[tuple[int, int]]]]
 
 
@@ -471,9 +467,9 @@ def _f3(n, d):
     return num >= 0, (num, 1000 * d * (6 * n - d) * (d - 2 * n))
 
 
-def _f4():
+def _f4(_n, _d):
     m = Fraction(258, 1000) - 1 / (1 + DELTA3)
-    return m > 0, m
+    return m > 0, (m.numerator, m.denominator)
 
 
 def _f5(n, d):
@@ -511,10 +507,11 @@ def _f8(n, d):
     return num > 0, (num, 25 * d * n * q * q)
 
 
-def _f9():
+def _f9(_n, _d):
     m1 = DELTA12 / 49 - Fraction(2667, 10000) * Fraction(3993, 10000)
     m2 = Fraction(2667, 10000) - (1 - DELTA12 / 7)
-    return m1 >= 0 and m2 > 0, min(m1, m2)
+    m = min(m1, m2)
+    return m1 >= 0 and m2 > 0, (m.numerator, m.denominator)
 
 
 # representative values c = delta/k: 1/2, 3/4, delta3/3, 1 - 74/224539
@@ -537,7 +534,7 @@ def _f11(n, d):
 
 @dataclass(frozen=True)
 class _Fact:
-    check: Callable  # an IntervalCheck, or no argument for a point fact (lo == hi)
+    check: IntervalCheck
     lo: Fraction
     hi: Fraction
     open_lo: bool
@@ -580,10 +577,6 @@ def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
     fact = _CATALOG.get(fact_id)
     if fact is None:
         raise UnknownFact(f"no fact {fact_id!r} (known: {sorted(_CATALOG)})")
-    if fact.lo == fact.hi:
-        ok, margin = fact.check()  # point facts: a single exact evaluation
-        return FactReport(fact_id, fact.description, ok, None if ok else fact.lo,
-                          margin, step, 1)
     p, q = step.numerator, step.denominator
     check = fact.check
     points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
@@ -601,17 +594,18 @@ def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
 
 
 def all_fact_ids() -> list[str]:
-    return sorted(_CATALOG, key=lambda s: int(s[1:]))
+    return list(_CATALOG)
 
 
-def f1_root_bracket(width: Fraction = Fraction(1, 10 ** 9)) -> tuple[Fraction, Fraction]:
-    """Bisection bracket for the root of (3b - 1/2)(1-b) = (1-2b)b near 0.219."""
+def f1_root_bracket() -> tuple[Fraction, Fraction]:
+    """Bisection bracket, of width at most 1/10^9, for the root of
+    (3b - 1/2)(1-b) = (1-2b)b near 0.219."""
     def h(b: Fraction) -> Fraction:
         return (3 * b - Fraction(1, 2)) * (1 - b) - (1 - 2 * b) * b
 
     lo, hi = Fraction(21, 100), Fraction(23, 100)
     assert h(lo) < 0 < h(hi)
-    while hi - lo > width:
+    while hi - lo > Fraction(1, 10 ** 9):
         mid = (lo + hi) / 2
         if h(mid) < 0:
             lo = mid

@@ -46,7 +46,6 @@ over the first path.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -56,7 +55,8 @@ from typing import Optional
 
 from .constructions import random_compliant, required_degrees
 from .digraph import BipartiteDigraph, _bits, _expand, _transpose, _unified, girth, is_compliant
-from .errors import InfeasibleConfig
+from .errors import InfeasibleConfig, InfeasibleDegree
+from .io import to_edge_list
 
 DEFAULT_NODE_LIMIT = 10 ** 9
 
@@ -86,10 +86,10 @@ class SearchConfig:
             raise InfeasibleConfig(f"unknown mode {self.mode!r}")
         if self.eulerian and self.mode == "randomized":
             raise InfeasibleConfig("randomized mode does not take eulerian")
-        d_a = math.ceil(self.beta * self.n_b)
-        d_b = math.ceil(self.alpha * self.n_a)
-        if d_a > self.n_b or d_b > self.n_a:
-            raise InfeasibleConfig("required degrees exceed side sizes")
+        try:
+            d_a, d_b = self.degrees
+        except InfeasibleDegree:
+            raise InfeasibleConfig("required degrees exceed side sizes") from None
         if self.eulerian and self.n_a * d_a != self.n_b * d_b:
             raise InfeasibleConfig(
                 "eulerian balance needs n_a*d_a == n_b*d_b "
@@ -109,7 +109,6 @@ class SearchReport:
     config: SearchConfig
 
     def to_json_dict(self) -> dict:
-        from .io import to_edge_list
         cfg = self.config
         return {
             "schema_version": "2",
@@ -269,7 +268,7 @@ class _Enumerator:
 
     def _b_phase(self, a_rows: tuple[int, ...]) -> bool:
         cfg = self.cfg
-        a_in = _transpose(a_rows, cfg.n_b, cfg.n_a)
+        a_in = _transpose(a_rows, cfg.n_b)
 
         def rec(b_rows: tuple[int, ...], min_idx: int, deg: list[int]) -> bool:
             j = len(b_rows)
@@ -357,11 +356,11 @@ def verify_conjecture_small(k: int, n_max: int, *, eulerian: bool = False,
                             node_limit: int = DEFAULT_NODE_LIMIT) -> list[SearchReport]:
     """For each n <= n_max, search at the least out-degree exceeding n/(k+1),
     i.e. floor(n/(k+1))+1.  Consistency means every report is Exhausted."""
+    if k < 1:
+        raise InfeasibleConfig("k must be positive")
     reports = []
     for n in range(1, n_max + 1):
         d = n // (k + 1) + 1
-        if d > n:
-            continue
         ab = Fraction(d, n)
         cfg = SearchConfig(n, n, k, ab, ab, eulerian=eulerian,
                            node_limit=node_limit)

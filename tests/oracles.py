@@ -8,8 +8,10 @@ explicit adjacency dict, canonical forms and automorphism counts by
 trying every relabeling, the exhaustive search
 with nondecreasing A-rows as its only symmetry rule, and the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
-library's integer fact scan replaced.  The edge-list parser's reference is
-its former per-line loop, kept verbatim; so is the circulant's.
+library's integer fact scan replaced, and the frontier classification from
+the paper's inequalities with the least bad t in closed form.  The
+edge-list parser's reference is its former per-line loop, kept verbatim;
+so is the circulant's.
 """
 
 from __future__ import annotations
@@ -383,10 +385,7 @@ def reference_scan(fact_id: str, step: Fraction) -> FactReport:
     `Fraction` statement on the interval that `lemmas._CATALOG` gives it."""
     fact = lemmas._CATALOG[fact_id]
     check = FRACTION_FACTS[fact_id]
-    if fact.lo == fact.hi:
-        points = [fact.lo]  # point facts: a single exact evaluation
-    else:
-        points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
+    points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
     holds = True
     first_violation = None
     margin_min = None
@@ -401,3 +400,41 @@ def reference_scan(fact_id: str, step: Fraction) -> FactReport:
             margin_min = margin
     return FactReport(fact_id, fact.description, holds, first_violation,
                       margin_min, step, count)
+
+
+# ---------------------------------------------------------------------------
+# Frontier classification
+# ---------------------------------------------------------------------------
+
+def _least_bad_t(k: int, x: Fraction, y: Fraction):
+    """The least t with x <= t/(kt+1) and y <= 1/(kt+1), or None.  The first
+    bound is t(1 - kx) >= x; the second only weakens as t grows, so the
+    least t of the first is the one to test."""
+    if k * x >= 1:
+        return None
+    t = max(1, math.ceil(x / (1 - k * x)))
+    return t if (k * t + 1) * y <= 1 else None
+
+
+def reference_classify(k: int, a: Fraction, b: Fraction):
+    """`frontier.classify(k, (a, b))` as (status, witness t, mirrored): the
+    paper's Good inequalities written out again, and the least bad t of each
+    orientation in closed form, the mirrored one winning only when its t is
+    strictly smaller.  Good and Unknown points give (status, None, None)."""
+    if a == 0 or b == 0:
+        return "bad", None, False
+    low = min(a, b)
+    if (a + b > 1
+            or k >= 2 and (2 * a + b > 1 or a + 2 * b > 1)
+            or k >= 3 and a + b > Fraction(1, 2)
+            or k >= 4 and a + b > Fraction(2, 5)
+            or k >= 6 and low > Fraction(1, 7)
+            or k >= 224539 and low > Fraction(1, k + 1)):  # the proved large-k range
+        return "good", None, None
+    plain = _least_bad_t(k, a, b)
+    mirror = _least_bad_t(k, b, a)
+    if mirror is not None and (plain is None or mirror < plain):
+        return "bad", mirror, True
+    if plain is not None:
+        return "bad", plain, False
+    return "unknown", None, None

@@ -27,5 +27,5 @@ def test_bigindeg_totals_are_backward_layer_sizes():
                              tuple(m & ~g.b_in[j] for j, m in enumerate(g.b_out)))
         rep = audit_bigindeg(g, Fraction(0), Fraction(0))
         for e in rep.entries:
-            layers = backward_layers(g, B(e.i), 3).layers
+            layers = backward_layers(g, B(e.i), 3)
             assert e.layer_size == len(layers[1]) + len(layers[3])

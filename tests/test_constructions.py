@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from bipgirth.constructions import (
-    CirculantParams,
     OffsetSpec,
     ch_reduce,
     circulant,
@@ -50,8 +49,10 @@ class TestLayeredCycle:
 
 class TestCirculant:
     def test_params_n(self):
-        assert CirculantParams(2, 1, 1).n == 3
-        assert CirculantParams(2, 2, 1).n == 5
+        assert circulant(2, 1, 1).a_size == 3
+        assert circulant(2, 2, 1).a_size == 5
+        with pytest.raises(ValueError, match="k, s, t must all be positive"):
+            circulant(2, 0, 1)
 
     def test_six_cycle(self):
         g = circulant(2, 1, 1)

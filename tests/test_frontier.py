@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from bipgirth.constructions import circulant
 from bipgirth.digraph import compliance_profile, girth
 from bipgirth.frontier import (
@@ -25,9 +26,6 @@ class TestAlphaBeta:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             AlphaBeta(F(3, 2), F(0))
-
-    def test_dominates(self):
-        assert AlphaBeta(F(1, 2), F(1, 2)).dominates(AlphaBeta(F(1, 3), F(1, 3)))
 
 
 class TestBadPairs:
@@ -99,6 +97,30 @@ class TestClassify:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             classify(0, AlphaBeta(F(1, 2), F(1, 2)))
+
+
+def _key(v):
+    if v.witness is None:
+        return v.status.value, None, None
+    return v.status.value, v.witness.t, v.witness.mirrored
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_classify_matches_reference_on_grid(k):
+    for a, b, v in region_grid(k, 40):
+        assert _key(v) == oracles.reference_classify(k, a, b), (k, a, b)
+
+
+@pytest.mark.parametrize("k", [LARGE_K_START - 1, LARGE_K_START, LARGE_K_START + 1])
+def test_classify_matches_reference_near_large_k(k):
+    # the diagonal thresholds 1/(k'+1) and the bad pairs around this k
+    values = {F(0), F(1, 7), F(1, 2), F(1)}
+    values |= {F(1, k + d) for d in (-1, 0, 1, 2)}
+    values |= {x for t in (1, 2, 3) for x in (F(t, k * t + 1), F(1, k * t + 1))}
+    for a in values:
+        for b in values:
+            v = classify(k, AlphaBeta(a, b))
+            assert _key(v) == oracles.reference_classify(k, a, b), (k, a, b)
 
 
 class TestRegion:

@@ -355,10 +355,6 @@ class TestFactScan:
             assert fact_scan(fid, step=step) == oracles.reference_scan(fid, step), fid
 
 
-_INTERVAL_FACTS = [fid for fid in all_fact_ids()
-                   if lemmas._CATALOG[fid].lo != lemmas._CATALOG[fid].hi]
-
-
 def _inside(fact, b):
     return ((fact.lo < b if fact.open_lo else fact.lo <= b)
             and (b < fact.hi if fact.open_hi else b <= fact.hi))
@@ -382,7 +378,7 @@ def _boundary_points(reference, points):
     return found
 
 
-@pytest.mark.parametrize("fid", _INTERVAL_FACTS)
+@pytest.mark.parametrize("fid", all_fact_ids())
 def test_integer_check_matches_fraction_statement(fid):
     """The cleared integer check at (n, d) and the Fraction statement at n/d
     give the same verdict and the same exact margin: at grid points, next to

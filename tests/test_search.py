@@ -303,6 +303,12 @@ class TestVerifySmall:
         for rep in verify_eulerian_small(2, 5):
             assert rep.status is SearchStatus.Exhausted
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_nonpositive_k(self, k):
+        for sweep in (verify_conjecture_small, verify_eulerian_small):
+            with pytest.raises(InfeasibleConfig, match="k must be positive"):
+                sweep(k, 5)
+
     def test_eulerian_skips_unbalanced(self):
         reports = verify_eulerian_small(2, 4)
         assert all(r.config.n_a == r.config.n_b for r in reports)
