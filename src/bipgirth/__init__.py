@@ -67,7 +67,8 @@ from .lemmas import (
     newineq_min_oracle,
     threshold_k,
 )
-from .audit import AuditEntry, AuditReport, audit_bells, audit_bigindeg, audit_bigset
+from .audit import (AuditEntry, AuditReport, BigsetEntry, audit_bells, audit_bigindeg,
+                    audit_bigset)
 from .io import parse_edge_list, to_dot, to_edge_list
 
 __version__ = "0.1.0"

@@ -30,17 +30,21 @@ from .lemmas import CheckReport, IneqParams, bellsandwhistles_check, delta_table
 @dataclass(frozen=True)
 class AuditEntry:
     i: int
-    branch: str          # "layer", "star", or "both"
-    layer_size: int
-    star_size: int       # |N*_{i-1}(v)|
+    layer_size: int      # bigindeg: |M1(v)| + |M3(v)|
     ok: bool
+
+
+@dataclass(frozen=True)
+class BigsetEntry(AuditEntry):
+    branch: str          # "layer", "star", "both" or "none"
+    star_size: int       # |N*_{i-1}(v)|
 
 
 @dataclass(frozen=True)
 class AuditReport:
     kind: str
     passed: bool
-    entries: tuple[AuditEntry, ...]
+    entries: tuple[AuditEntry, ...]  # BigsetEntry from audit_bigset
     detail: str = ""
 
 
@@ -76,7 +80,7 @@ def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
         by_star = star_size > star_bar
         branch = {(True, True): "both", (True, False): "layer",
                   (False, True): "star", (False, False): "none"}[(by_layer, by_star)]
-        entries.append(AuditEntry(i, branch, len(layer), star_size, by_layer or by_star))
+        entries.append(BigsetEntry(i, len(layer), by_layer or by_star, branch, star_size))
     passed = all(e.ok for e in entries)
     return AuditReport("bigset", passed, tuple(entries),
                        detail=f"v={v}, k={k}, delta={delta}")
@@ -102,7 +106,7 @@ def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> Audi
         if total > best:
             best = total
             best_v = v
-        entries.append(AuditEntry(j, "layer", total, 0, total >= needed))
+        entries.append(AuditEntry(j, total, total >= needed))
     passed = best >= needed
     return AuditReport("bigindeg", passed, tuple(entries),
                        detail=f"max |M1|+|M3| = {best} at {best_v}, "

@@ -234,8 +234,7 @@ def _cmd_audit(args) -> int:
                "detail": report.detail}
     else:
         rep = audit_bells(g)
-        out = {"kind": "bells", "hypotheses_held": rep.hypotheses_held,
-               "conclusion_held": rep.conclusion_held,
+        out = {"kind": "bells", "conclusion_held": rep.conclusion_held,
                "lhs": str(rep.lhs), "rhs": str(rep.rhs)}
     print(json.dumps(out, indent=2))
     return 0

@@ -1,14 +1,42 @@
-"""Exact-rational classification of compliance points into Good/Bad/Unknown.
+"""Exact classification of compliance points into Good/Bad/Unknown.
 
 A point (alpha, beta) is Good at k when a proved theorem forces girth at
 most 2k' for some k' <= k; Bad when a circulant construction (or a
 degenerate zero-coordinate witness) complies with it and has girth more
-than 2k; Unknown otherwise.  All comparisons are exact; the strictness of
-every rule matches the proved statement it encodes.
+than 2k; Unknown otherwise.  The strictness of every rule matches the
+proved statement it encodes.
+
+The point is decided in integers, in O(1) steps.  Written as (x/d, y/d),
+with d > 0 the lcm of its two denominators, each rule is compared with
+its denominators cleared:
+
+    k'   rule                         integer form
+    1    alpha+beta > 1               x+y > d
+    2    2*alpha+beta > 1             2x+y > d
+    2    alpha+2*beta > 1             x+2y > d
+    3    alpha+beta > 1/2             2(x+y) > d
+    4    alpha+beta > 2/5             5(x+y) > 2d
+    6    min(alpha,beta) > 1/7        7*min(x,y) > d
+    k    min(alpha,beta) > 1/(k+1)    (k+1)*min(x,y) > d,  k >= LARGE_K_START
+
+A rule applies at k when k >= k' and both coordinates are positive (the
+theorems' hypotheses); the first that applies, in this order, names it.
+
+The bad pair (t/(kt+1), 1/(kt+1)) dominates the point when x(kt+1) <= td
+and y(kt+1) <= d.  The first bound reads t(d - kx) >= x: with x > 0 it
+can hold only when d > kx, and then it holds exactly from
+t = max(1, ceil(x/(d - kx))) on.  The second bound only gets harder as t
+grows, so if it fails at that least t it fails at every t the first
+bound allows: the least t is the only candidate to test.  The mirrored
+pair swaps x and y.  Among the witnesses the least t wins and, at equal
+t, the plain pair before the mirrored one.  A zero coordinate is
+dominated by the axis witness.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +51,8 @@ class AlphaBeta:
     beta: Fraction
 
     def __post_init__(self):
-        if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
+        a, b = self.alpha, self.beta
+        if not (0 <= a.numerator <= a.denominator and 0 <= b.numerator <= b.denominator):
             raise ValueError(f"({self.alpha},{self.beta}) outside [0,1]^2")
 
 
@@ -72,69 +101,64 @@ def bad_pairs(k: int, t_max: int) -> list[AlphaBeta]:
     return out
 
 
-def _good_rule(k: int, p: AlphaBeta) -> Optional[str]:
-    """First proved rule forcing girth <= 2k' for some k' <= k, else None.
-
-    All rules require both coordinates positive (the theorems' hypotheses)."""
-    a, b = p.alpha, p.beta
-    if a == 0 or b == 0:
+def _least_t(k: int, x: int, y: int, d: int) -> Optional[int]:
+    """Least t >= 1 with x(kt+1) <= td and y(kt+1) <= d, or None (x > 0)."""
+    if d <= k * x:
         return None
-    if a + b > 1:
-        return "k'=1: alpha+beta>1"
-    if k >= 2:
-        if 2 * a + b > 1:
-            return "k'=2: 2*alpha+beta>1"
-        if a + 2 * b > 1:
-            return "k'=2: alpha+2*beta>1"
-    if k >= 3 and a + b > Fraction(1, 2):
-        return "k'=3: alpha+beta>1/2"
-    if k >= 4 and a + b > Fraction(2, 5):
-        return "k'=4: alpha+beta>2/5"
-    if k >= 6 and min(a, b) > Fraction(1, 7):
-        return "k'=6: min(alpha,beta)>1/7"
-    if k >= LARGE_K_START and min(a, b) > Fraction(1, k + 1):
-        return f"k'={k}: min(alpha,beta)>1/{k + 1}"
-    return None
+    t = max(1, -(-x // (d - k * x)))
+    return t if y * (k * t + 1) <= d else None
 
 
-def _bad_witness(k: int, p: AlphaBeta) -> Optional[BadWitness]:
-    a, b = p.alpha, p.beta
-    if a == 0 or b == 0:
-        return BadWitness(t=None)
-    # only t with 1/(kt+1) >= min(a,b) can dominate the point
-    t_bound = int((1 / min(a, b) - 1) // k)
-    for t in range(1, t_bound + 1):
-        n = k * t + 1
-        if a <= Fraction(t, n) and b <= Fraction(1, n):
-            return BadWitness(t=t)
-        if a <= Fraction(1, n) and b <= Fraction(t, n):
-            return BadWitness(t=t, mirrored=True)
-    return None
+@functools.lru_cache(maxsize=4096)
+def _verdict(status: Status, rule: Optional[str] = None, t: Optional[int] = None,
+             mirrored: bool = False) -> Verdict:
+    witness = BadWitness(t, mirrored) if status is Status.BAD else None
+    return Verdict(status, rule, witness)
+
+
+def _classify(k: int, x: int, y: int, d: int) -> Verdict:
+    """Verdict at the point (x/d, y/d), d > 0, by the integer rules and the
+    least bad t of the module docstring."""
+    if x == 0 or y == 0:
+        return _verdict(Status.BAD)
+    s, low = x + y, min(x, y)
+    rule = ("k'=1: alpha+beta>1" if s > d
+            else "k'=2: 2*alpha+beta>1" if k >= 2 and 2 * x + y > d
+            else "k'=2: alpha+2*beta>1" if k >= 2 and x + 2 * y > d
+            else "k'=3: alpha+beta>1/2" if k >= 3 and 2 * s > d
+            else "k'=4: alpha+beta>2/5" if k >= 4 and 5 * s > 2 * d
+            else "k'=6: min(alpha,beta)>1/7" if k >= 6 and 7 * low > d
+            else f"k'={k}: min(alpha,beta)>1/{k + 1}"
+            if k >= LARGE_K_START and (k + 1) * low > d else None)
+    plain, mirror = _least_t(k, x, y, d), _least_t(k, y, x, d)
+    assert not (rule and (plain or mirror)), f"({x}/{d},{y}/{d}) both Good and Bad"
+    if rule:
+        return _verdict(Status.GOOD, rule)
+    if plain is None and mirror is None:
+        return _verdict(Status.UNKNOWN)
+    mirrored = plain is None or mirror is not None and mirror < plain
+    return _verdict(Status.BAD, None, mirror if mirrored else plain, mirrored)
 
 
 def classify(k: int, p: AlphaBeta) -> Verdict:
     """Good/Bad/Unknown verdict with provenance; Good and Bad are checked
-    against each other and may never both fire."""
+    against each other and may never both fire.  The point is put over the
+    lcm of its two denominators and decided in integers."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rule = _good_rule(k, p)
-    witness = _bad_witness(k, p)
-    assert not (rule and witness), f"point {p} derivable both Good and Bad"
-    if rule:
-        return Verdict(Status.GOOD, rule=rule)
-    if witness:
-        return Verdict(Status.BAD, witness=witness)
-    return Verdict(Status.UNKNOWN)
+    a, b = p.alpha, p.beta
+    d = math.lcm(a.denominator, b.denominator)
+    return _classify(k, a.numerator * (d // a.denominator),
+                     b.numerator * (d // b.denominator), d)
 
 
 def region_grid(k: int, resolution: int) -> Iterator[tuple[Fraction, Fraction, Verdict]]:
     """Classify the (resolution+1)^2 lattice over [0,1]^2, lexicographic order."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    for i in range(resolution + 1):
-        for j in range(resolution + 1):
-            a = Fraction(i, resolution)
-            b = Fraction(j, resolution)
+    axis = [Fraction(i, resolution) for i in range(resolution + 1)]
+    for a in axis:
+        for b in axis:
             yield a, b, classify(k, AlphaBeta(a, b))
 
 

@@ -250,7 +250,8 @@ def _conclusion(p: IneqParams) -> Real:
 
 @dataclass(frozen=True)
 class CheckReport:
-    hypotheses_held: bool
+    """The conclusion on an instance whose hypotheses all hold; a failing
+    hypothesis raises `HypothesisViolated` instead."""
     conclusion_held: bool
     lhs: Real
     rhs: Real
@@ -286,7 +287,7 @@ def appliedineq_check(samples: Sequence[tuple[Real, Real]], params: IneqParams,
         raise HypothesisViolated("bullet 5", "parameter inequalities fail")
     lhs = sum(b * b + 2 * a * b for a, b in samples)
     rhs = _conclusion(params) * n
-    return CheckReport(True, lhs >= rhs, lhs, rhs)
+    return CheckReport(lhs >= rhs, lhs, rhs)
 
 
 Edge = tuple[VertexRef, VertexRef]
@@ -360,7 +361,7 @@ def bellsandwhistles_check(g: BipartiteDigraph, R: Iterable[Edge], S: Iterable[E
         raise HypothesisViolated("bullet 6", "fewer than mu|A||B| edges head in Y")
 
     lhs = _conclusion(params)
-    return CheckReport(True, lhs <= beta, lhs, beta)
+    return CheckReport(lhs <= beta, lhs, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ as the `Fraction` statements evaluated at `Fraction` grid points that the
 library's integer fact scan replaced, and the frontier classification from
 the paper's inequalities with the least bad t in closed form.  The
 edge-list parser's reference is its former per-line loop, kept verbatim;
-so is the circulant's.
+so are the circulant's and the frontier classifier's `Fraction` rules
+with their loop over t.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from typing import Optional
 
 import networkx as nx
 
@@ -39,6 +41,7 @@ from bipgirth.digraph import (
     _unified,
     general_from_edges,
 )
+from bipgirth.frontier import LARGE_K_START, AlphaBeta, BadWitness, Status, Verdict
 from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport
 
 
@@ -438,3 +441,58 @@ def reference_classify(k: int, a: Fraction, b: Fraction):
     if plain is not None:
         return "bad", plain, False
     return "unknown", None, None
+
+
+def _good_rule(k: int, p: AlphaBeta) -> Optional[str]:
+    """First proved rule forcing girth <= 2k' for some k' <= k, else None.
+
+    All rules require both coordinates positive (the theorems' hypotheses)."""
+    a, b = p.alpha, p.beta
+    if a == 0 or b == 0:
+        return None
+    if a + b > 1:
+        return "k'=1: alpha+beta>1"
+    if k >= 2:
+        if 2 * a + b > 1:
+            return "k'=2: 2*alpha+beta>1"
+        if a + 2 * b > 1:
+            return "k'=2: alpha+2*beta>1"
+    if k >= 3 and a + b > Fraction(1, 2):
+        return "k'=3: alpha+beta>1/2"
+    if k >= 4 and a + b > Fraction(2, 5):
+        return "k'=4: alpha+beta>2/5"
+    if k >= 6 and min(a, b) > Fraction(1, 7):
+        return "k'=6: min(alpha,beta)>1/7"
+    if k >= LARGE_K_START and min(a, b) > Fraction(1, k + 1):
+        return f"k'={k}: min(alpha,beta)>1/{k + 1}"
+    return None
+
+
+def _bad_witness(k: int, p: AlphaBeta) -> Optional[BadWitness]:
+    a, b = p.alpha, p.beta
+    if a == 0 or b == 0:
+        return BadWitness(t=None)
+    # only t with 1/(kt+1) >= min(a,b) can dominate the point
+    t_bound = int((1 / min(a, b) - 1) // k)
+    for t in range(1, t_bound + 1):
+        n = k * t + 1
+        if a <= Fraction(t, n) and b <= Fraction(1, n):
+            return BadWitness(t=t)
+        if a <= Fraction(1, n) and b <= Fraction(t, n):
+            return BadWitness(t=t, mirrored=True)
+    return None
+
+
+def loop_classify(k: int, a: Fraction, b: Fraction) -> Verdict:
+    """The `Verdict` of `frontier.classify(k, (a, b))` by the former kernel:
+    the rules compared as `Fraction`s and the bad witness found by trying
+    every t in turn, plain before mirrored."""
+    p = AlphaBeta(a, b)
+    rule = _good_rule(k, p)
+    witness = _bad_witness(k, p)
+    assert not (rule and witness), f"point {p} derivable both Good and Bad"
+    if rule:
+        return Verdict(Status.GOOD, rule=rule)
+    if witness:
+        return Verdict(Status.BAD, witness=witness)
+    return Verdict(Status.UNKNOWN)

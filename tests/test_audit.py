@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bipgirth.audit import audit_bigindeg, audit_bigset
+from bipgirth.audit import AuditEntry, audit_bigindeg, audit_bigset
 from bipgirth.constructions import circulant
 from bipgirth.digraph import A, B, BipartiteDigraph, backward_layers
 
@@ -27,5 +27,6 @@ def test_bigindeg_totals_are_backward_layer_sizes():
                              tuple(m & ~g.b_in[j] for j, m in enumerate(g.b_out)))
         rep = audit_bigindeg(g, Fraction(0), Fraction(0))
         for e in rep.entries:
+            assert type(e) is AuditEntry  # no branch or star size: none is computed
             layers = backward_layers(g, B(e.i), 3)
             assert e.layer_size == len(layers[1]) + len(layers[3])

@@ -138,6 +138,12 @@ class TestClassify:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "UNKNOWN"
 
+    def test_good_point_with_tiny_beta(self, capsys):
+        # the bad witness would need t near 500,000 here; it is found in closed form
+        rc = main(["classify", "--k", "2", "--alpha", "1/2", "--beta", "1/1000000"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "GOOD rule=(k'=2: 2*alpha+beta>1)"
+
     def test_decimal_rejected(self, capsys):
         rc = main(["classify", "--k", "2", "--alpha", "0.4", "--beta", "1/4"])
         assert rc == 1
@@ -235,6 +241,7 @@ class TestAudit:
         rc = main(["audit", "bells", six_cycle_file])
         assert rc == 0
         blob = json.loads(capsys.readouterr().out)
+        assert set(blob) == {"kind", "conclusion_held", "lhs", "rhs"}
         assert blob["conclusion_held"] is True
         assert blob["lhs"] == "1/3"
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import oracles
 from bipgirth.constructions import circulant
 from bipgirth.digraph import compliance_profile, girth
+from bipgirth import frontier
 from bipgirth.frontier import (
     LARGE_K_START,
     AlphaBeta,
@@ -105,10 +107,18 @@ def _key(v):
     return v.status.value, v.witness.t, v.witness.mirrored
 
 
-@pytest.mark.parametrize("k", range(1, 8))
+def _agrees(k, a, b):
+    """classify at (a, b) against the former loop kernel, verdict for
+    verdict, and against the closed-form reference."""
+    v = classify(k, AlphaBeta(a, b))
+    assert v == oracles.loop_classify(k, a, b), (k, a, b)
+    assert _key(v) == oracles.reference_classify(k, a, b), (k, a, b)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
 def test_classify_matches_reference_on_grid(k):
-    for a, b, v in region_grid(k, 40):
-        assert _key(v) == oracles.reference_classify(k, a, b), (k, a, b)
+    for a, b, _v in region_grid(k, 40):
+        _agrees(k, a, b)
 
 
 @pytest.mark.parametrize("k", [LARGE_K_START - 1, LARGE_K_START, LARGE_K_START + 1])
@@ -119,8 +129,39 @@ def test_classify_matches_reference_near_large_k(k):
     values |= {x for t in (1, 2, 3) for x in (F(t, k * t + 1), F(1, k * t + 1))}
     for a in values:
         for b in values:
-            v = classify(k, AlphaBeta(a, b))
-            assert _key(v) == oracles.reference_classify(k, a, b), (k, a, b)
+            _agrees(k, a, b)
+
+
+def test_classify_matches_reference_on_unrelated_denominators():
+    # alpha and beta over different denominators, so classify works over their lcm
+    rng = random.Random(13)
+    for _ in range(3000):
+        qa, qb = rng.randint(1, 90), rng.randint(1, 90)
+        a, b = F(rng.randint(0, qa), qa), F(rng.randint(0, qb), qb)
+        _agrees(rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 11)), a, b)
+
+
+def _loop_csv(k, resolution):
+    lines = ["alpha,beta,status,provenance"]
+    for i in range(resolution + 1):
+        for j in range(resolution + 1):
+            a, b = F(i, resolution), F(j, resolution)
+            v = oracles.loop_classify(k, a, b)
+            lines.append(f"{a},{b},{v.status.value},{v.provenance}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 100])
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+def test_region_csv_matches_loop_kernel(k, resolution):
+    assert region_csv(k, resolution) == _loop_csv(k, resolution)
+
+
+def test_region_svg_matches_loop_kernel(monkeypatch):
+    svg = region_svg(2, 40)
+    monkeypatch.setattr(frontier, "classify",
+                        lambda k, p: oracles.loop_classify(k, p.alpha, p.beta))
+    assert svg == region_svg(2, 40)
 
 
 class TestRegion:

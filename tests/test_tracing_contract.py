@@ -1,10 +1,16 @@
 """The benchmark's tracer wraps functions by (module, attribute): each must
-stay importable there, or only the traced benchmark run would notice."""
+stay importable there, and callers must keep calling through it, or only
+the traced benchmark run would notice."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
+
+from bipgirth import frontier
+from oracles import count_calls
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -17,3 +23,11 @@ def test_wrapped_attributes_exist(monkeypatch):
     missing = [f"bipgirth.{module}.{attr}" for module, attr, *_ in tracing.WRAPPED
                if not hasattr(importlib.import_module(f"bipgirth.{module}"), attr)]
     assert tracing.WRAPPED and missing == []
+
+
+@pytest.mark.parametrize("k, resolution", [(2, 2), (4, 7), (1, 30)])
+def test_region_grid_classifies_through_the_module(k, resolution):
+    # frontier.points_classified counts the calls to frontier.classify
+    with count_calls(frontier, "classify") as calls:
+        points = list(frontier.region_grid(k, resolution))
+    assert calls[0] == len(points) == (resolution + 1) ** 2
