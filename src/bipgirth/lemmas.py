@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -73,30 +73,43 @@ def _sq_over(num: Real, den: Real) -> Fraction:
     return Fraction(num * num, den) if den else Fraction(0)
 
 
+def _over_lcm(values: Sequence[Real]) -> tuple[list[int], int]:
+    """The numerators of `values` over their least common denominator, and it."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
+
+
 @dataclass(frozen=True)
 class NewineqInstance:
+    """The five values as `Fraction`s, and in `_int` as integers over their
+    lcm D: (X, Y, B, G, M, D) with x = X/D, y = Y/D, beta = B/D,
+    gamma = G/D and mu = M/D."""
     x: Real
     y: Real
     beta: Real
     gamma: Real
     mu: Real
+    _int: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x", "y", "beta", "gamma", "mu"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not (0 <= self.x <= self.y <= 1):
+        (X, Y, B, G, M), D = _over_lcm((self.x, self.y, self.beta, self.gamma, self.mu))
+        if not (0 <= X <= Y <= D):
             raise ValueError(f"need 0 <= x <= y <= 1, got x={self.x}, y={self.y}")
-        if self.beta < 0 or self.gamma < 0 or self.mu < 0:
+        if B < 0 or G < 0 or M < 0:
             raise ValueError("beta, gamma, mu must be nonnegative")
+        object.__setattr__(self, "_int", (X, Y, B, G, M, D))
 
     def eligible(self, case: str) -> bool:
-        x, y, b, g, m = self.x, self.y, self.beta, self.gamma, self.mu
+        X, Y, B, G, M, D = self._int
         if case == "a":
-            return b <= x * g
+            return B * D <= X * G
         if case == "b":
-            return b >= x * g
-        if case == "c":
-            return b >= x * g and y * b + x * (1 - y) * g <= m
+            return B * D >= X * G
+        if case == "c":  # the second test times D^3
+            return B * D >= X * G and Y * B * D + X * (D - Y) * G <= M * D * D
         raise ValueError(f"unknown case {case!r}")
 
 
@@ -107,47 +120,56 @@ class FeasibleTriple:
     r: Real
 
 
-def _check_feasible(inst: NewineqInstance, t: FeasibleTriple) -> None:
-    if t.p < 0 or t.q < 0 or t.r < 0:
+def _f_int(inst: NewineqInstance, P: int, Q: int, R: int, E: int) -> tuple[int, int]:
+    """f at the triple (P/E, Q/E, R/E), E > 0, as (num, den), once the triple
+    is certified feasible; raises `InfeasibleTriple` otherwise."""
+    X, Y, B, G, M, D = inst._int
+    if P < 0 or Q < 0 or R < 0:
         raise InfeasibleTriple("p, q, r must be nonnegative")
-    head = t.p * inst.x + t.q * (inst.y - inst.x)
-    total = head + t.r * (1 - inst.y)
-    if total != inst.beta:
-        raise InfeasibleTriple(f"weights sum to {total}, expected {inst.beta}")
-    if head < inst.mu:
-        raise InfeasibleTriple(f"px+q(y-x) = {head} below mu = {inst.mu}")
+    head = P * X + Q * (Y - X)  # px + q(y-x) over E*D, and the total likewise
+    total = head + R * (D - Y)
+    if total != B * E:
+        raise InfeasibleTriple(f"weights sum to {Fraction(total, E * D)}, expected {inst.beta}")
+    if head < M * E:
+        raise InfeasibleTriple(f"px+q(y-x) = {Fraction(head, E * D)} below mu = {inst.mu}")
+    U = P * D - G * E  # p - gamma over E*D
+    return X * U * U + D * D * ((Y - X) * Q * Q + (D - Y) * R * R), D ** 3 * E * E
 
 
 def f_value(inst: NewineqInstance, t: FeasibleTriple) -> Real:
     """x(p-gamma)^2 + (y-x)q^2 + (1-y)r^2, in exact rationals."""
-    _check_feasible(inst, t)
-    x, y, g = inst.x, inst.y, inst.gamma
-    return x * (t.p - g) ** 2 + (y - x) * t.q ** 2 + (1 - y) * t.r ** 2
+    (P, Q, R), E = _over_lcm((t.p, t.q, t.r))
+    return Fraction(*_f_int(inst, P, Q, R, E))
 
 
 def newineq_bound(inst: NewineqInstance, case: str) -> Real:
-    """Proved lower bound for f over the feasible set, per case."""
+    """Proved lower bound for f over the feasible set, per case: in case c,
+    (mu - x*gamma)^2/y + (beta - mu)^2/(1-y), with H = M*D - X*G, is
+    H^2/(D^3*Y) + (B-M)^2/(D*(D-Y)), each term under the convention of
+    `_sq_over`."""
     if not inst.eligible(case):
         raise CaseNotApplicable(f"case {case} ineligible for {inst}")
-    x, y, b, g, m = inst.x, inst.y, inst.beta, inst.gamma, inst.mu
+    X, Y, B, G, M, D = inst._int
+    C = B * D - X * G  # beta - x*gamma over D^2
     if case == "a":
-        return _sq_over(b - x * g, x)
+        return _sq_over(C, D ** 3 * X)
     if case == "b":
-        return (b - x * g) ** 2
-    return _sq_over(m - x * g, y) + _sq_over(b - m, 1 - y)
+        return Fraction(C * C, D ** 4)
+    return _sq_over(M * D - X * G, D ** 3 * Y) + _sq_over(B - M, D * (D - Y))
 
 
 def newineq_min_oracle(inst: NewineqInstance) -> Optional[Fraction]:
     """Exact minimum of f over the feasible set, or None when it is empty.
 
     Independent of `newineq_bound`: it builds the minimising triple from the
-    KKT conditions and returns `f_value` there, so `_check_feasible`
-    certifies the triple.  With u = p - gamma and c = beta - x*gamma the
+    KKT conditions and returns f there through `_f_int`, which certifies the
+    triple as feasible.  With u = p - gamma and c = beta - x*gamma the
     weights (x, y-x, 1-y) sum to 1, f = x*u^2 + (y-x)q^2 + (1-y)r^2 and
     x*u + (y-x)q + (1-y)r = c.  Cases:
 
-    - mu > beta: the head px+q(y-x) = beta - (1-y)r is at most beta, so
-      the set is empty.
+    - mu > beta, or y = 0 < mu: the head px+q(y-x) = beta - (1-y)r is at
+      most beta, and it is 0 when y = 0 (then x = 0 too), so the set is
+      empty.
     - c <= 0: q, r >= 0 force x*u <= c, so f >= x*u^2 >= c^2/x, attained by
       (beta/x, 0, 0) with head beta >= mu.  When x = 0, beta = 0 and the
       triple is (0, 0, 0).
@@ -159,24 +181,28 @@ def newineq_min_oracle(inst: NewineqInstance) -> Optional[Fraction]:
       Cauchy-Schwarz on each group gives f >= H^2/y + (c-H)^2/(1-y), convex
       in H with its minimum at H = y*c, below the required
       H >= mu - x*gamma; so H = mu - x*gamma, split equally:
-      (gamma+h, h, (beta-mu)/(1-y)) with h = (mu - x*gamma)/y.  Here y < 1,
-      since y = 1 makes the head equal beta; y = 0 makes the head 0 < mu,
-      so the set is empty.
+      (gamma+h, h, (beta-mu)/(1-y)) with h = (mu - x*gamma)/y.  Here
+      0 < y < 1: y = 0 leaves mu = 0, met by the optimum above, and y = 1
+      makes the head equal beta.
+
+    In integers: with the instance over its common denominator D (x = X/D,
+    and so on), c = C/D^2 with C = B*D - X*G, and the triple is (P, Q, R)
+    over one denominator E: E = X for c <= 0 (E = 1 when x = 0), E = D^2
+    for the unconstrained optimum, and E = D*Y*(D-Y) for the tight head.
+    Only the minimum becomes a `Fraction`.
     """
-    x, y, b, g, m = inst.x, inst.y, inst.beta, inst.gamma, inst.mu
-    if m > b:
+    X, Y, B, G, M, D = inst._int
+    if M > B or Y == 0 < M:
         return None
-    c = b - x * g
-    if c <= 0:
-        t = FeasibleTriple(b / x if x else Fraction(0), 0, 0)
-    elif x * g + y * c >= m:
-        t = FeasibleTriple(g + c, c, c)
-    elif y == 0:
-        return None
+    C = B * D - X * G
+    if C <= 0:
+        P, Q, R, E = B, 0, 0, X or 1
+    elif X * G * D + Y * C >= M * D * D:  # x*gamma + y*c >= mu, times D^3
+        P, Q, R, E = G * D + C, C, C, D * D
     else:
-        h = (m - x * g) / y
-        t = FeasibleTriple(g + h, h, (b - m) / (1 - y))
-    return f_value(inst, t)
+        H, Z = M * D - X * G, D - Y  # h = H/(D*Y)
+        P, Q, R, E = (G * Y + H) * Z, H * Z, (B - M) * D * Y, D * Y * Z
+    return Fraction(*_f_int(inst, P, Q, R, E))
 
 
 def check_newineq(inst: NewineqInstance) -> bool:
@@ -201,9 +227,7 @@ def random_newineq_instance(case: str, rng: random.Random) -> NewineqInstance:
         beta = rng.random()
         gamma = rng.random()
         lo = y * beta + x * (1 - y) * gamma
-        if case == "a" and beta <= x * gamma:
-            mu = rng.random() * beta
-        elif case == "b" and beta >= x * gamma:
+        if case == "a" and beta <= x * gamma or case == "b" and beta >= x * gamma:
             mu = rng.random() * beta
         elif case == "c" and beta >= x * gamma and lo <= beta:
             mu = lo + rng.random() * (beta - lo)
@@ -577,7 +601,7 @@ def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
     and least margin become Fractions."""
     fact = _CATALOG.get(fact_id)
     if fact is None:
-        raise UnknownFact(f"no fact {fact_id!r} (known: {sorted(_CATALOG)})")
+        raise UnknownFact(f"no fact {fact_id!r} (known: {list(_CATALOG)})")
     p, q = step.numerator, step.denominator
     check = fact.check
     points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)

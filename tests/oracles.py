@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own algorithms: girth by
-brute-force simple-cycle enumeration (networkx) and, for inputs too large
-for that, by one full BFS from every start without trimming, layers (and
+brute-force simple-cycle enumeration (networkx), by the least length of a
+closed walk over plain successor sets and, for inputs too large for
+those, by one full BFS from every start without trimming, layers (and
 the distance powers read from them) by naive repeated relaxation over an
 explicit adjacency dict, canonical forms and automorphism counts by
 trying every relabeling, the exhaustive search
@@ -12,7 +13,9 @@ library's integer fact scan replaced, and the frontier classification from
 the paper's inequalities with the least bad t in closed form.  The
 edge-list parser's reference is its former per-line loop, kept verbatim;
 so are the circulant's and the frontier classifier's `Fraction` rules
-with their loop over t.
+with their loop over t, and the quadratic bound's `Fraction` kernel
+(eligibility, feasibility check, f, bound and minimiser) that the integer
+one replaced.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from bipgirth.digraph import (
     general_from_edges,
 )
 from bipgirth.frontier import LARGE_K_START, AlphaBeta, BadWitness, Status, Verdict
-from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport
+from bipgirth.errors import CaseNotApplicable, InfeasibleTriple
+from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport, FeasibleTriple
 
 
 def to_networkx(g) -> nx.DiGraph:
@@ -63,6 +67,26 @@ def brute_girth(g):
     for cyc in nx.simple_cycles(d):
         if best is None or len(cyc) < best:
             best = len(cyc)
+    return best
+
+
+def walk_girth(g):
+    """The least L such that some vertex has a closed walk of exactly L
+    steps, or None: the girth, as a shortest closed walk is a cycle.  Each
+    start follows the sets of vertices that walks of 1, 2, ... steps end
+    at, over plain successor sets; a cycle visits only vertices with
+    successors, so no walk longer than their number needs following."""
+    succ: dict = {}
+    for u, v in g.edges():
+        succ.setdefault(u, set()).add(v)
+    best = None
+    for v in succ:
+        ends = {v}
+        for length in range(1, best or len(succ) + 1):
+            ends = set().union(*(succ.get(u, ()) for u in ends))
+            if v in ends:
+                best = length
+                break
     return best
 
 
@@ -496,3 +520,73 @@ def loop_classify(k: int, a: Fraction, b: Fraction) -> Verdict:
     if witness:
         return Verdict(Status.BAD, witness=witness)
     return Verdict(Status.UNKNOWN)
+
+
+# ---------------------------------------------------------------------------
+# The quadratic lower bound in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def _sq_over(num, den) -> Fraction:
+    """num^2/den with the stated convention: a zero denominator is taken
+    to come with a zero numerator, and the whole term is zero."""
+    return Fraction(num * num, den) if den else Fraction(0)
+
+
+def fraction_eligible(inst, case: str) -> bool:
+    x, y, b, g, m = inst.x, inst.y, inst.beta, inst.gamma, inst.mu
+    if case == "a":
+        return b <= x * g
+    if case == "b":
+        return b >= x * g
+    if case == "c":
+        return b >= x * g and y * b + x * (1 - y) * g <= m
+    raise ValueError(f"unknown case {case!r}")
+
+
+def _check_feasible(inst, t) -> None:
+    if t.p < 0 or t.q < 0 or t.r < 0:
+        raise InfeasibleTriple("p, q, r must be nonnegative")
+    head = t.p * inst.x + t.q * (inst.y - inst.x)
+    total = head + t.r * (1 - inst.y)
+    if total != inst.beta:
+        raise InfeasibleTriple(f"weights sum to {total}, expected {inst.beta}")
+    if head < inst.mu:
+        raise InfeasibleTriple(f"px+q(y-x) = {head} below mu = {inst.mu}")
+
+
+def fraction_f_value(inst, t):
+    """x(p-gamma)^2 + (y-x)q^2 + (1-y)r^2, in exact rationals."""
+    _check_feasible(inst, t)
+    x, y, g = inst.x, inst.y, inst.gamma
+    return x * (t.p - g) ** 2 + (y - x) * t.q ** 2 + (1 - y) * t.r ** 2
+
+
+def fraction_bound(inst, case: str):
+    """Proved lower bound for f over the feasible set, per case."""
+    if not fraction_eligible(inst, case):
+        raise CaseNotApplicable(f"case {case} ineligible for {inst}")
+    x, y, b, g, m = inst.x, inst.y, inst.beta, inst.gamma, inst.mu
+    if case == "a":
+        return _sq_over(b - x * g, x)
+    if case == "b":
+        return (b - x * g) ** 2
+    return _sq_over(m - x * g, y) + _sq_over(b - m, 1 - y)
+
+
+def fraction_min_oracle(inst) -> Optional[Fraction]:
+    """`lemmas.newineq_min_oracle` on the instance's `Fraction` fields: the
+    KKT triple as `Fraction`s, certified by `_check_feasible`."""
+    x, y, b, g, m = inst.x, inst.y, inst.beta, inst.gamma, inst.mu
+    if m > b:
+        return None
+    c = b - x * g
+    if c <= 0:
+        t = FeasibleTriple(b / x if x else Fraction(0), 0, 0)
+    elif x * g + y * c >= m:
+        t = FeasibleTriple(g + c, c, c)
+    elif y == 0:
+        return None
+    else:
+        h = (m - x * g) / y
+        t = FeasibleTriple(g + h, h, (b - m) / (1 - y))
+    return fraction_f_value(inst, t)

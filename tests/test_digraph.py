@@ -47,6 +47,7 @@ from oracles import (
     random_general,
     reference_shortest_cycle,
     relabel,
+    walk_girth,
 )
 
 
@@ -212,9 +213,9 @@ class TestGirth:
     # dropped too early
 
     @staticmethod
-    def check_against_enumeration(g):
+    def check_against_enumeration(g, oracle=brute_girth):
         gr = girth(g)
-        assert (gr.length if gr else None) == brute_girth(g)
+        assert (gr.length if gr else None) == oracle(g)
         if gr is None:
             assert shortest_cycle_length(g) is None
             return
@@ -250,7 +251,14 @@ class TestGirth:
             b_out = tuple(sum(1 << i for i in rng.sample(range(na), rng.randint(a_deg + 1, na)))
                           for _ in range(nb))
             g = BipartiteDigraph(na, nb, a_out, b_out)
-            self.check_against_enumeration(g)
+            # dense enough that enumerating the simple cycles is slow
+            self.check_against_enumeration(g, walk_girth)
+
+    def test_walk_girth_matches_cycle_enumeration(self):
+        rng = random.Random(24)
+        for _ in range(150):
+            g = random_bipartite(rng, max_side=5) if rng.random() < 0.5 else random_general(rng)
+            assert walk_girth(g) == brute_girth(g)
 
     def test_general_against_enumeration(self):
         rng = random.Random(8)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -190,6 +192,81 @@ class TestOracle:
         assert newineq_stress("ac", 50, 1) == 100
 
 
+def _outcome(fn, *args):
+    """A call's value, or the type and message of the library error it raised."""
+    try:
+        return fn(*args)
+    except (CaseNotApplicable, InfeasibleTriple) as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerKernel:
+    """The integer oracle, bound, eligibility and f against the `Fraction`
+    kernel they replaced, compared exactly."""
+
+    @staticmethod
+    def check(inst, triples=()):
+        assert _outcome(newineq_min_oracle, inst) == oracles.fraction_min_oracle(inst)
+        for case in "abc":
+            assert inst.eligible(case) == oracles.fraction_eligible(inst, case)
+            assert (_outcome(newineq_bound, inst, case)
+                    == _outcome(oracles.fraction_bound, inst, case))
+        for t in triples:
+            assert _outcome(f_value, inst, t) == _outcome(oracles.fraction_f_value, inst, t)
+
+    @pytest.mark.parametrize("case", ["a", "b", "c"])
+    def test_seeded_instances(self, case):
+        rng = random.Random(2000 + ord(case))
+        for _ in range(2000):
+            self.check(random_newineq_instance(case, rng))
+
+    def test_quarter_grid(self):
+        # every boundary the kernel branches on: x = 0, y = x, y = 1,
+        # beta = x*gamma (c = 0), mu = beta, and mu > beta
+        grid = [F(i, 4) for i in range(5)]
+        eligible = set()
+        for x, y, beta, gamma, mu in itertools.product(grid, repeat=5):
+            if y >= x:
+                inst = NewineqInstance(x, y, beta, gamma, mu)
+                self.check(inst, [FeasibleTriple(beta, 0, 0), FeasibleTriple(*grid[1:4])])
+                eligible.update(case for case in "abc" if inst.eligible(case))
+        assert eligible == {"a", "b", "c"}
+
+    def test_unrelated_denominators(self):
+        # thirds, sevenths, ...: the common denominator is a true lcm
+        rng = random.Random(47)
+
+        def draw(top):
+            q = rng.choice([3, 5, 7, 9, 11, 13, 49])
+            return F(rng.randint(0, top * q), q)
+
+        for _ in range(1500):
+            x, y = sorted((draw(1), draw(1)))
+            t = FeasibleTriple(draw(2), draw(2), draw(2))
+            head = x * t.p + (y - x) * t.q
+            beta = head + (1 - y) * t.r
+            inst = NewineqInstance(x, y, beta, draw(2), head * F(rng.randint(0, 5), 4))
+            self.check(inst, [t, FeasibleTriple(draw(2), draw(2), draw(2))])
+            self.check(NewineqInstance(x, y, draw(2), draw(2), draw(2)), [t])
+
+    def test_planted_weight_sum_off_by_1e18(self):
+        x, y = F(2, 7), F(5, 9)
+        t = FeasibleTriple(F(4, 3), F(6, 11), F(2, 13))
+        beta = x * t.p + (y - x) * t.q + (1 - y) * t.r
+        assert f_value(NewineqInstance(x, y, beta, F(1, 3), 0), t) >= 0
+        with pytest.raises(InfeasibleTriple, match="weights sum"):
+            f_value(NewineqInstance(x, y, beta - F(1, 10 ** 18), F(1, 3), 0), t)
+
+    def test_planted_head_short_of_mu_by_1e18(self):
+        x, y = F(2, 7), F(5, 9)
+        t = FeasibleTriple(F(4, 3), F(6, 11), F(2, 13))
+        head = x * t.p + (y - x) * t.q
+        beta = head + (1 - y) * t.r
+        assert f_value(NewineqInstance(x, y, beta, F(1, 3), head), t) >= 0
+        with pytest.raises(InfeasibleTriple, match="below mu"):
+            f_value(NewineqInstance(x, y, beta, F(1, 3), head + F(1, 10 ** 18)), t)
+
+
 class TestAppliedineq:
     def test_equality_boundary(self):
         params = IneqParams(0, 1, F(1, 4), 0, F(1, 4), F(1, 4))
@@ -318,7 +395,9 @@ class TestFactScan:
             assert rep.first_violation is None
 
     def test_unknown_fact(self):
-        with pytest.raises(UnknownFact):
+        # the known ids are listed in catalog order, F2 before F10
+        known = ", ".join(repr(f"F{i}") for i in range(1, 12))
+        with pytest.raises(UnknownFact, match=re.escape(f"(known: [{known}])")):
             fact_scan("F99")
 
     def test_f4_margin(self):

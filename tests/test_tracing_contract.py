@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bipgirth import frontier
+from bipgirth import frontier, lemmas
 from oracles import count_calls
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -31,3 +31,13 @@ def test_region_grid_classifies_through_the_module(k, resolution):
     with count_calls(frontier, "classify") as calls:
         points = list(frontier.region_grid(k, resolution))
     assert calls[0] == len(points) == (resolution + 1) ** 2
+
+
+@pytest.mark.parametrize("count, seed", [(1, 0), (40, 20260823)])
+def test_newineq_stress_calls_through_the_module(count, seed):
+    # lemmas.oracle_calls counts the calls to lemmas.newineq_min_oracle, and
+    # the lemmas.bound span wraps lemmas.newineq_bound
+    with count_calls(lemmas, "newineq_min_oracle") as oracle, \
+            count_calls(lemmas, "newineq_bound") as bound:
+        lemmas.newineq_stress("abc", count, seed)
+    assert oracle[0] == bound[0] == 3 * count
