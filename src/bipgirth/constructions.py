@@ -106,21 +106,19 @@ def required_degrees(n_a: int, n_b: int, alpha: Fraction, beta: Fraction) -> tup
     return d_a, d_b
 
 
+def _draw_rows(n_a: int, n_b: int, d_a: int, d_b: int, seed: int):
+    """The seeded sample's bitmask rows, one at a time: A-rows, then B-rows."""
+    rng = random.Random(seed)
+    for count, width, d in ((n_a, n_b, d_a), (n_b, n_a, d_b)):
+        for _ in range(count):
+            m = 0
+            for j in rng.sample(range(width), d):
+                m |= 1 << j
+            yield m
+
+
 def random_compliant(n_a: int, n_b: int, alpha: Fraction, beta: Fraction,
                      seed: int) -> BipartiteDigraph:
     """Seeded random digraph with out-degrees exactly ceil(beta|B|), ceil(alpha|A|)."""
-    d_a, d_b = required_degrees(n_a, n_b, alpha, beta)
-    rng = random.Random(seed)
-    a_out = []
-    for _ in range(n_a):
-        m = 0
-        for j in rng.sample(range(n_b), d_a):
-            m |= 1 << j
-        a_out.append(m)
-    b_out = []
-    for _ in range(n_b):
-        m = 0
-        for i in rng.sample(range(n_a), d_b):
-            m |= 1 << i
-        b_out.append(m)
-    return BipartiteDigraph(n_a, n_b, tuple(a_out), tuple(b_out))
+    rows = tuple(_draw_rows(n_a, n_b, *required_degrees(n_a, n_b, alpha, beta), seed))
+    return BipartiteDigraph(n_a, n_b, rows[:n_a], rows[n_a:])

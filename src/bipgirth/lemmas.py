@@ -234,7 +234,7 @@ def random_newineq_instance(case: str, rng: random.Random) -> NewineqInstance:
         else:
             continue
         inst = NewineqInstance(x, y, beta, gamma, mu)
-        if inst.eligible(case) and inst.mu <= inst.beta:
+        if inst.eligible(case) and inst._int[4] <= inst._int[2]:  # M <= B: mu <= beta
             return inst
 
 

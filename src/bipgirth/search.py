@@ -4,7 +4,10 @@ Exhaustive mode enumerates digraphs with exact minimum degrees (adding
 edges only shortens cycles, so large-girth witnesses exist at exact
 degrees if they exist at all) and prunes each B-row candidate by one
 mask per depth: the A-vertices that already reach the new B-vertex
-within 2k-1 steps.  Runs are sequential and fully deterministic.
+within 2k-1 steps.  Randomized mode rejects a seeded sample at the first
+B-row that closes a 2-cycle, having drawn the A-rows and the B-rows up to
+it; a sample with no 2-cycle is drawn again whole and decided by girth.
+Runs are sequential and fully deterministic.
 
 Relabeling either side maps witnesses to witnesses, so the A-phase needs
 one A-matrix (A-rows over B-columns) per class under row and column
@@ -53,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import random_compliant, required_degrees
+from .constructions import _draw_rows, random_compliant, required_degrees
 from .digraph import BipartiteDigraph, _bits, _expand, _transpose, _unified, girth, is_compliant
 from .errors import InfeasibleConfig, InfeasibleDegree
 from .io import to_edge_list
@@ -318,23 +321,29 @@ def find_counterexample(cfg: SearchConfig) -> SearchReport:
 
     Exhaustive mode is complete over exact-degree digraphs (up to
     isomorphism) and returns the first witness in a fixed DFS order;
-    Exhausted certifies none exists.  Randomized mode samples seeded
-    random compliant instances up to node_limit.
+    Exhausted certifies none exists.  Randomized mode tries the seeds
+    seed, seed+1, ... of random_compliant, up to node_limit samples; a
+    sample is rejected at its first 2-cycle (2 <= 2k) while its B-rows are
+    drawn, and girth decides the rest.
     """
     start = time.perf_counter()
     if cfg.mode == "randomized":
+        d_a, d_b = cfg.degrees
         nodes = 0
         witness = None
         while nodes < cfg.node_limit:
             nodes += 1
+            rows = _draw_rows(cfg.n_a, cfg.n_b, d_a, d_b, cfg.seed + nodes - 1)
+            a_rows = tuple(itertools.islice(rows, cfg.n_a))
+            if any(a_rows[i] >> j & 1 for j, row in enumerate(rows) for i in _bits(row)):
+                continue  # b_j -> a_i -> b_j, and 2 <= 2k
             g = random_compliant(cfg.n_a, cfg.n_b, cfg.alpha, cfg.beta,
                                  seed=cfg.seed + nodes - 1)
             gr = girth(g)
             if gr is None or gr.length > 2 * cfg.k:
                 witness = g
                 break
-        status = (SearchStatus.FoundCounterexample if witness
-                  else SearchStatus.LimitReached)
+        status = SearchStatus.FoundCounterexample if witness else SearchStatus.LimitReached
         return SearchReport(status, witness, nodes, time.perf_counter() - start, cfg)
 
     enum = _Enumerator(cfg)

@@ -7,7 +7,9 @@ those, by one full BFS from every start without trimming, layers (and
 the distance powers read from them) by naive repeated relaxation over an
 explicit adjacency dict, canonical forms and automorphism counts by
 trying every relabeling, the exhaustive search
-with nondecreasing A-rows as its only symmetry rule, and the facts F1-F11
+with nondecreasing A-rows as its only symmetry rule, the randomized
+search drawing each sample whole (its former loop and row drawing, kept
+verbatim) and running girth on every one, and the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
 library's integer fact scan replaced, and the frontier classification from
 the paper's inequalities with the least bad t in closed form.  The
@@ -32,6 +34,7 @@ import networkx as nx
 
 from bipgirth import lemmas
 
+from bipgirth.constructions import required_degrees
 from bipgirth.digraph import (
     BipartiteDigraph,
     GeneralDigraph,
@@ -43,10 +46,12 @@ from bipgirth.digraph import (
     _expand,
     _unified,
     general_from_edges,
+    girth,
 )
 from bipgirth.frontier import LARGE_K_START, AlphaBeta, BadWitness, Status, Verdict
 from bipgirth.errors import CaseNotApplicable, InfeasibleTriple
 from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport, FeasibleTriple
+from bipgirth.search import SearchStatus
 
 
 def to_networkx(g) -> nx.DiGraph:
@@ -124,9 +129,9 @@ def count_calls(module, name: str):
     original = getattr(module, name)
     calls = [0]
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     setattr(module, name, counted)
     try:
@@ -305,6 +310,46 @@ def reference_search(n_a: int, n_b: int, k: int, d_a: int, d_b: int,
         if found:
             return found
     return None
+
+
+def whole_draw_compliant(n_a: int, n_b: int, alpha: Fraction, beta: Fraction,
+                         seed: int) -> BipartiteDigraph:
+    """Seeded random digraph with out-degrees exactly ceil(beta|B|), ceil(alpha|A|)."""
+    d_a, d_b = required_degrees(n_a, n_b, alpha, beta)
+    rng = random.Random(seed)
+    a_out = []
+    for _ in range(n_a):
+        m = 0
+        for j in rng.sample(range(n_b), d_a):
+            m |= 1 << j
+        a_out.append(m)
+    b_out = []
+    for _ in range(n_b):
+        m = 0
+        for i in rng.sample(range(n_a), d_b):
+            m |= 1 << i
+        b_out.append(m)
+    return BipartiteDigraph(n_a, n_b, tuple(a_out), tuple(b_out))
+
+
+def whole_draw_search(cfg):
+    """The randomized search that draws every sample whole and runs girth
+    on it: (status, nodes explored, witness, samples without a 2-cycle)."""
+    without_2_cycle = 0
+    nodes = 0
+    witness = None
+    while nodes < cfg.node_limit:
+        nodes += 1
+        g = whole_draw_compliant(cfg.n_a, cfg.n_b, cfg.alpha, cfg.beta,
+                                 seed=cfg.seed + nodes - 1)
+        gr = girth(g)
+        without_2_cycle += gr is None or gr.length > 2
+        if gr is None or gr.length > 2 * cfg.k:
+            witness = g
+            break
+    status = (SearchStatus.FoundCounterexample if witness
+              else SearchStatus.LimitReached)
+    return status, nodes, witness, without_2_cycle
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from bipgirth.search import (
     verify_eulerian_small,
 )
 
-from oracles import all_digraphs, brute_canonical, reference_search, relabel
+from oracles import all_digraphs, brute_canonical, reference_search, relabel, whole_draw_search
 
 
 def F(p, q=1):
@@ -237,6 +237,25 @@ class TestFindCounterexample:
         assert rep.status is SearchStatus.FoundCounterexample
         gr = girth(rep.witness)
         assert gr is None or gr.length > 2
+
+    # witnesses at k = 1, 2, 3 (two with unequal sides), then configs where
+    # many samples have no 2-cycle and still have girth <= 2k
+    RANDOMIZED_GRID = [
+        (3, 3, 1, F(1, 3), F(1, 3)), (9, 6, 1, F(1, 9), F(1, 3)),
+        (6, 6, 2, F(1, 6), F(1, 6)), (10, 10, 2, F(1, 10), F(1, 10)),
+        (30, 30, 3, F(1, 30), F(1, 30)), (12, 7, 3, F(1, 12), F(1, 7)),
+        (16, 16, 3, F(1, 8), F(1, 16)), (10, 10, 4, F(1, 5), F(1, 10)),
+        (5, 12, 2, F(1, 5), F(1, 6)),
+    ]
+
+    @pytest.mark.parametrize("cfg", RANDOMIZED_GRID, ids=str)
+    def test_randomized_matches_whole_draws(self, cfg):
+        # screening a sample for a 2-cycle while its B-rows are drawn gives
+        # what drawing it whole and running girth on it gives
+        for seed in range(6):
+            c = SearchConfig(*cfg, mode="randomized", seed=seed, node_limit=120)
+            rep = find_counterexample(c)
+            assert (rep.status, rep.nodes_explored, rep.witness) == whole_draw_search(c)[:3]
 
     def test_report_json(self):
         cfg = SearchConfig(3, 3, 2, F(1, 3), F(1, 3))

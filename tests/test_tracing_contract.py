@@ -5,12 +5,13 @@ the traced benchmark run would notice."""
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bipgirth import frontier, lemmas
-from oracles import count_calls
+from bipgirth import frontier, lemmas, search
+from oracles import count_calls, whole_draw_search
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,3 +42,19 @@ def test_newineq_stress_calls_through_the_module(count, seed):
             count_calls(lemmas, "newineq_bound") as bound:
         lemmas.newineq_stress("abc", count, seed)
     assert oracle[0] == bound[0] == 3 * count
+
+
+@pytest.mark.parametrize("cfg, seed", [
+    ((3, 3, 1, Fraction(1, 3), Fraction(1, 3)), 5),
+    ((16, 16, 3, Fraction(1, 8), Fraction(1, 16)), 0),
+    ((30, 30, 3, Fraction(1, 5), Fraction(1, 5)), 1),
+])
+def test_randomized_search_calls_through_the_module(cfg, seed):
+    # constructions.random_compliant_* and digraph.girth_* time the calls
+    # to search.random_compliant and search.girth: one each per sample
+    # that has no 2-cycle
+    config = search.SearchConfig(*cfg, mode="randomized", seed=seed, node_limit=150)
+    with count_calls(search, "random_compliant") as drawn, \
+            count_calls(search, "girth") as girths:
+        search.find_counterexample(config)
+    assert drawn[0] == girths[0] == whole_draw_search(config)[3]
