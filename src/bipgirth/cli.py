@@ -63,8 +63,8 @@ def _positive_int(text: str) -> int:
 
 
 def _integer(text: str) -> int:
-    """For the options that take a negative value: seeds, offsets (taken
-    modulo n) and `layers --max` (whose check names the depth)."""
+    """For the options that take a negative value: offsets (taken modulo n)
+    and `layers --max` (whose check names the depth)."""
     if not _INTEGER_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(text)
@@ -272,7 +272,7 @@ def build_parser() -> _Parser:
             fp.add_argument("--nb", type=_natural, required=True)
             fp.add_argument("--alpha", type=parse_rational, required=True)
             fp.add_argument("--beta", type=parse_rational, required=True)
-            fp.add_argument("--seed", type=_integer, default=0)
+            fp.add_argument("--seed", type=_natural, default=0)
     pc.set_defaults(fn=_cmd_construct)
 
     pg = sub.add_parser("girth", help="shortest directed cycle")
@@ -315,7 +315,7 @@ def build_parser() -> _Parser:
                     help="exhaustive mode only")
     ps.add_argument("--mode", choices=["exhaustive", "random"],
                     default="exhaustive")
-    ps.add_argument("--seed", type=_integer, help="with --mode random (default 0)")
+    ps.add_argument("--seed", type=_natural, help="with --mode random (default 0)")
     ps.add_argument("--node-limit", type=_positive_int,
                     default=search.DEFAULT_NODE_LIMIT)
     ps.set_defaults(fn=_cmd_search)
@@ -327,7 +327,7 @@ def build_parser() -> _Parser:
     group.add_argument("--stress", choices=["newineq"])
     pf.add_argument("--count", type=_positive_int,
                     help="instances with --stress (default 1000)")
-    pf.add_argument("--seed", type=_integer, help="seed with --stress (default 7)")
+    pf.add_argument("--seed", type=_natural, help="seed with --stress (default 7)")
     pf.set_defaults(fn=_cmd_lemmas)
 
     pa = sub.add_parser("audit", help="replay a proved dichotomy on a digraph")

@@ -101,20 +101,48 @@ def required_degrees(n_a: int, n_b: int, alpha: Fraction, beta: Fraction) -> tup
         raise NullDigraph(f"sides of sizes ({n_a},{n_b}) must both be nonempty")
     d_a = math.ceil(beta * n_b)
     d_b = math.ceil(alpha * n_a)
-    if d_a > n_b or d_b > n_a:
-        raise InfeasibleDegree(f"degrees ({d_a},{d_b}) exceed sizes ({n_b},{n_a})")
+    if not (0 <= d_a <= n_b and 0 <= d_b <= n_a):  # _draw_rows takes 0 <= d <= width
+        raise InfeasibleDegree(f"degrees ({d_a},{d_b}) lie outside 0..({n_b},{n_a})")
     return d_a, d_b
 
 
 def _draw_rows(n_a: int, n_b: int, d_a: int, d_b: int, seed: int):
-    """The seeded sample's bitmask rows, one at a time: A-rows, then B-rows."""
-    rng = random.Random(seed)
+    """The seeded sample's bitmask rows, one at a time: A-rows, then B-rows.
+
+    The stream is defined here: each row replays the selection rule of
+    `random.sample(range(width), d)` over rejection draws of `getrandbits(k)`.
+    Only `getrandbits`, the MT19937 output of `random.Random(seed)`, is taken
+    from the stdlib, so a seed gives the same rows across Python versions
+    that keep `sample` unchanged, and a later `sample` cannot change them.
+    """
+    bits = random.Random(seed).getrandbits
     for count, width, d in ((n_a, n_b, d_a), (n_b, n_a, d_b)):
-        for _ in range(count):
-            m = 0
-            for j in rng.sample(range(width), d):
-                m |= 1 << j
-            yield m
+        setsize = 21 + (4 ** math.ceil(math.log(d * 3, 4)) if d > 5 else 0)
+        if width <= setsize:
+            # a pool of live column bits; the last live one fills the slot taken
+            steps = [(width - i, (width - i).bit_length()) for i in range(d)]
+            columns = [1 << j for j in range(width)]
+            for _ in range(count):
+                pool = columns[:]
+                m = 0
+                for n, k in steps:
+                    r = bits(k)
+                    while r >= n:
+                        r = bits(k)
+                    m |= pool[r]
+                    pool[r] = pool[n - 1]
+                yield m
+        else:
+            # redraw a column already taken, as `sample` does with its set
+            k = width.bit_length()
+            for _ in range(count):
+                m = 0
+                for _ in range(d):
+                    r = bits(k)
+                    while r >= width or m >> r & 1:
+                        r = bits(k)
+                    m |= 1 << r
+                yield m
 
 
 def random_compliant(n_a: int, n_b: int, alpha: Fraction, beta: Fraction,

@@ -7,7 +7,12 @@ mask per depth: the A-vertices that already reach the new B-vertex
 within 2k-1 steps.  Randomized mode rejects a seeded sample at the first
 B-row that closes a 2-cycle, having drawn the A-rows and the B-rows up to
 it; a sample with no 2-cycle is drawn again whole and decided by girth.
-Runs are sequential and fully deterministic.
+The row stream is defined in the program (`constructions._draw_rows`):
+`random.sample`'s selection rule over rejection draws of `getrandbits(k)`.
+Only `getrandbits` (the MT19937 output) is taken from the stdlib, so a
+seed gives the same rows across Python versions that keep `sample`
+unchanged, and a later `sample` cannot change them.  Runs are sequential
+and fully deterministic.
 
 Relabeling either side maps witnesses to witnesses, so the A-phase needs
 one A-matrix (A-rows over B-columns) per class under row and column
@@ -85,6 +90,8 @@ class SearchConfig:
     def __post_init__(self):
         if min(self.n_a, self.n_b, self.k, self.node_limit) < 1:
             raise InfeasibleConfig("sizes, k and node_limit must be positive")
+        if self.seed < 0:  # random.Random(-s) is random.Random(s)
+            raise InfeasibleConfig("seed must be nonnegative")
         if self.mode not in ("exhaustive", "randomized"):
             raise InfeasibleConfig(f"unknown mode {self.mode!r}")
         if self.eulerian and self.mode == "randomized":
@@ -92,7 +99,7 @@ class SearchConfig:
         try:
             d_a, d_b = self.degrees
         except InfeasibleDegree:
-            raise InfeasibleConfig("required degrees exceed side sizes") from None
+            raise InfeasibleConfig("required degrees lie outside 0..side sizes") from None
         if self.eulerian and self.n_a * d_a != self.n_b * d_b:
             raise InfeasibleConfig(
                 "eulerian balance needs n_a*d_a == n_b*d_b "

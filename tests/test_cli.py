@@ -327,9 +327,20 @@ class TestMalformedInput:
         (["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
           "--beta", "1/3", "--mode", "random", "--eulerian"],
          "error: search --mode random ignores --eulerian"),
+        # random.Random(-s) is random.Random(s): a negative seed has no stream of its own
+        (["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
+          "--beta", "1/3", "--mode", "random", "--seed", "-3", "--node-limit", "7"],
+         "error: argument --seed: '-3' is not a nonnegative integer"),
+        (["construct", "random", "--na", "3", "--nb", "3", "--alpha", "1/3",
+          "--beta", "1/3", "--seed", "-2"],
+         "error: argument --seed: '-2' is not a nonnegative integer"),
+        (["lemmas", "--stress", "newineq", "--seed", "-7"],
+         "error: argument --seed: '-7' is not a nonnegative integer"),
     ], ids=["extra_token", "arabic_digit", "negative_max", "lemmas_count",
             "bells_options", "bigindeg_vertex", "arabic_k", "arabic_alpha",
-            "underscore_k", "arabic_count", "search_seed", "random_eulerian"])
+            "underscore_k", "arabic_count", "search_seed", "random_eulerian",
+            "negative_search_seed", "negative_construct_seed",
+            "negative_stress_seed"])
     def test_message_names_the_cause(self, argv, message, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys) == message
 

@@ -152,6 +152,13 @@ class TestRandomCompliant:
         ((5, 8), Fraction(1), Fraction(3, 8)),      # full B-rows
         ((4, 2), Fraction(1, 4), Fraction(1)),      # full A-rows
         ((1, 1), Fraction(1), Fraction(1)),
+        # `sample` keeps a set, not a pool, above width 21 when d <= 5
+        ((30, 24), Fraction(1, 10), Fraction(1, 8)),
+        # at d = 6 the set takes over above width 85: set A-rows, pool B-rows
+        ((85, 86), Fraction(6, 85), Fraction(6, 86)),
+        ((33, 33), Fraction(8, 33), Fraction(8, 33)),  # pool draws of 6 bits, then 5
+        ((5, 7), Fraction(0), Fraction(2, 7)),      # empty B-rows
+        ((2, 30), Fraction(1, 2), Fraction(1)),     # full A-rows of width 30
     ])
     def test_random_stream_is_pinned(self, sizes, alpha, beta):
         # the rows drawn for a seed do not change: `construct random` files
@@ -160,10 +167,20 @@ class TestRandomCompliant:
             assert random_compliant(*sizes, alpha, beta, seed=seed) == \
                 whole_draw_compliant(*sizes, alpha, beta, seed=seed)
 
+    def test_random_rows_are_literal(self):
+        # the stream stays fixed even where a later `random.sample` would not
+        g = random_compliant(6, 6, Fraction(1, 3), Fraction(1, 3), seed=0)
+        assert (g.a_out, g.b_out) == ((40, 5, 24, 12, 12, 18), (18, 6, 17, 20, 48, 6))
+        # set-branch rows, which the pool rule would draw otherwise at this seed
+        g = random_compliant(3, 24, Fraction(1, 3), Fraction(1, 8), seed=2)
+        assert g.a_out == (2054, 10485792, 525056)
+
     def test_required_degrees(self):
         assert required_degrees(6, 6, Fraction(1, 3), Fraction(1, 3)) == (2, 2)
         assert required_degrees(5, 3, Fraction(2, 5), Fraction(1, 2)) == (2, 2)
         with pytest.raises(InfeasibleDegree):
             required_degrees(2, 2, Fraction(3, 2), Fraction(1, 2))
+        with pytest.raises(InfeasibleDegree):  # a negative degree would draw empty rows
+            required_degrees(3, 3, Fraction(-1, 3), Fraction(1, 3))
         with pytest.raises(NullDigraph):
             required_degrees(0, 2, Fraction(1, 2), Fraction(1, 2))

@@ -137,6 +137,8 @@ class TestSearchConfig:
             SearchConfig(3, 3, 2, F(1, 3), F(1, 3), node_limit=0)
         with pytest.raises(InfeasibleConfig):
             SearchConfig(3, 3, 2, F(1, 3), F(1, 3), mode="randomized", eulerian=True)
+        with pytest.raises(InfeasibleConfig, match="seed must be nonnegative"):
+            SearchConfig(3, 3, 2, F(1, 3), F(1, 3), mode="randomized", seed=-2)
 
     def test_eulerian_balance(self):
         with pytest.raises(InfeasibleConfig):
@@ -246,6 +248,7 @@ class TestFindCounterexample:
         (30, 30, 3, F(1, 30), F(1, 30)), (12, 7, 3, F(1, 12), F(1, 7)),
         (16, 16, 3, F(1, 8), F(1, 16)), (10, 10, 4, F(1, 5), F(1, 10)),
         (5, 12, 2, F(1, 5), F(1, 6)),
+        (22, 26, 2, F(1, 22), F(1, 13)),  # rows of width 26 and 22: `sample`'s set
     ]
 
     @pytest.mark.parametrize("cfg", RANDOMIZED_GRID, ids=str)
