@@ -148,5 +148,7 @@ def _draw_rows(n_a: int, n_b: int, d_a: int, d_b: int, seed: int):
 def random_compliant(n_a: int, n_b: int, alpha: Fraction, beta: Fraction,
                      seed: int) -> BipartiteDigraph:
     """Seeded random digraph with out-degrees exactly ceil(beta|B|), ceil(alpha|A|)."""
+    if seed < 0:  # random.Random(-s) is random.Random(s)
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rows = tuple(_draw_rows(n_a, n_b, *required_degrees(n_a, n_b, alpha, beta), seed))
     return BipartiteDigraph(n_a, n_b, rows[:n_a], rows[n_a:])

@@ -3,11 +3,14 @@ the large-k threshold, delta constants, and the numeric fact catalog.
 
 All arithmetic is exact (`Fraction`, or `int` in cleared form).  The fact
 scan decides each fact at the points of a grid over its interval in
-integers, with its denominators cleared by a multiplier positive there; its
-results are still evidence at the stated resolution, not proofs.  The
-quadratic minimiser is deliberately independent of the bound formulas: it
-solves the minimisation in closed form and certifies its minimising triple
-as feasible, so "minimum >= bound" is an exact check.
+integers, with its denominators cleared by a multiplier positive there.
+The threshold facts F1, F2, F6, F10 and F11 are decided at every point from
+the grid indices where their terms change sign, in a few dozen evaluations
+each (about 240 for F10's eight terms); F3, F5, F7 and F8 are checked point
+by point.  The results are still evidence at the stated resolution, not
+proofs.  The quadratic minimiser is deliberately independent of the bound
+formulas: it solves the minimisation in closed form and certifies its
+minimising triple as feasible, so "minimum >= bound" is an exact check.
 """
 
 from __future__ import annotations
@@ -242,6 +245,8 @@ def newineq_stress(cases: str, count: int, seed: int) -> int:
     """Draw `count` seeded instances per case from one generator and return
     how many have an exact minimum below the case's bound.  The bound is
     proved, so any violation is an implementation bug."""
+    if seed < 0:  # random.Random(-s) is random.Random(s)
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)
     violations = 0
     for case in cases:
@@ -449,7 +454,7 @@ class FactReport:
     first_violation: Optional[Fraction]
     margin_min: Optional[Fraction]
     grid_step: Fraction
-    points_checked: int
+    points_checked: int  # grid points decided, not check calls
 
 
 def _grid(lo: Fraction, hi: Fraction, step: Fraction,
@@ -467,22 +472,21 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction,
 # A fact is decided at b = n/d (d > 0) in integers: each check clears its
 # denominators by a multiplier that is positive on the fact's interval, and
 # returns its margin as a pair (num, den) with den > 0.  A point fact (F4,
-# F9) has the one-point interval [0, 0]: it reads neither n nor d.
+# F9) has the one-point interval [0, 0]: it reads neither n nor d.  A threshold
+# fact is a rule read on its terms: integers of degree <= 2 in n whose signs
+# alone fix the verdict, the margin being linear in n.
 IntervalCheck = Callable[[int, int], tuple[bool, Optional[tuple[int, int]]]]
 
 
 def _f1(n, d):
-    # (3b - 1/2)(1 - b) >= (1 - 2b)b times 2d^2 > 0
-    if (6 * n - d) * (d - n) >= 2 * (d - 2 * n) * n:
-        return 1000 * n > 219 * d, (1000 * n - 219 * d, 1000 * d)
-    return True, None
+    # (3b - 1/2)(1 - b) >= (1 - 2b)b times 2d^2 > 0 implies b > 0.219 times 1000d
+    return (6 * n - d) * (d - n) - 2 * (d - 2 * n) * n, 1000 * n - 219 * d
 
 
 def _f2(n, d):
     # b*delta3 <= (1 - b*delta3)/(1 - 2b) times 1000d^2(1 - 2b) > 0 on (0, 0.223]
-    if 2886 * n * (d - 2 * n) <= d * (1000 * d - 2886 * n):
-        return 1000 * n < 223 * d, (223 * d - 1000 * n, 1000 * d)
-    return True, None
+    # implies b < 0.223 times 1000d
+    return d * (1000 * d - 2886 * n) - 2886 * n * (d - 2 * n), 223 * d - 1000 * n
 
 
 def _f3(n, d):
@@ -504,10 +508,10 @@ def _f5(n, d):
 
 
 def _f6(n, d):
-    # (4/5 - 2b)b <= (1 - b)(1/delta4 - b) times 5*34814*d^2 > 0
-    if 34814 * n * (4 * d - 10 * n) <= 5 * (d - n) * (10000 * d - 34814 * n):
-        return 100 * n < 19 * d, (19 * d - 100 * n, 100 * d)
-    return True, None
+    # (4/5 - 2b)b <= (1 - b)(1/delta4 - b) times 5*34814*d^2 > 0 implies
+    # b < 0.19 times 100d
+    return (5 * (d - n) * (10000 * d - 34814 * n) - 34814 * n * (4 * d - 10 * n),
+            19 * d - 100 * n)
 
 
 def _f7(n, d):
@@ -546,15 +550,21 @@ _F10_RATIOS = ((1, 2), (3, 4), (2886, 3000), (224465, 224539))
 def _f10(n, d):
     # out-degree-counting step as a biconditional in the ratio xi = |X|/|B|:
     # c <= xi/2 + (1 - xi) times 2d*cd > 0 iff xi <= 2(1 - c) times d*cd > 0
-    for cn, cd in _F10_RATIOS:
-        if (2 * d * cn <= cd * (2 * d - n)) != (n * cd <= 2 * d * (cd - cn)):
-            return False, None
-    return True, None
+    return tuple(t for cn, cd in _F10_RATIOS
+                 for t in (cd * (2 * d - n) - 2 * d * cn, 2 * d * (cd - cn) - n * cd))
 
 
 def _f11(n, d):
     # 0.36 + 2b + (6b - 0.64)/5 <= 1 times 500d > 0, iff b <= 0.24 times 100d > 0
-    return (1600 * n + 116 * d <= 500 * d) == (100 * n <= 24 * d), None
+    return 500 * d - 1600 * n - 116 * d, 24 * d - 100 * n
+
+
+def _implies(scale):  # F1, F2, F6: P >= 0 implies L > 0, margin L/(scale*d)
+    return lambda t, d: (t[1] > 0, (t[1], scale * d)) if t[0] >= 0 else (True, None)
+
+
+def _iff(t, _d):  # F10, F11: a >= 0 iff b >= 0 for each pair (a, b) of terms
+    return all((a >= 0) == (b >= 0) for a, b in zip(t[::2], t[1::2])), None
 
 
 @dataclass(frozen=True)
@@ -565,32 +575,65 @@ class _Fact:
     open_lo: bool
     open_hi: bool
     description: str
+    terms: Optional[Callable] = None  # a threshold fact's terms, which `check` reads
+
+
+def _decided(terms, rule, *interval_and_description) -> _Fact:
+    return _Fact(lambda n, d: rule(terms(n, d), d), *interval_and_description, terms)
 
 
 _CATALOG: dict[str, _Fact] = {
-    "F1": _Fact(_f1, Fraction(0), Fraction(1, 2), True, False,
-                "in-degree premise forces beta > 0.219"),
-    "F2": _Fact(_f2, Fraction(0), Fraction(223, 1000), True, False,
-                "delta3 comparison forces beta < 0.223"),
+    "F1": _decided(_f1, _implies(1000), Fraction(0), Fraction(1, 2), True, False,
+                   "in-degree premise forces beta > 0.219"),
+    "F2": _decided(_f2, _implies(1000), Fraction(0), Fraction(223, 1000), True, False,
+                   "delta3 comparison forces beta < 0.223"),
     "F3": _Fact(_f3, Fraction(219, 1000), Fraction(223, 1000), True, True,
                 "second lower bound dominates on (0.219, 0.223)"),
     "F4": _Fact(_f4, Fraction(0), Fraction(0), False, False,
                 "1/(1+delta3) < 0.258"),
     "F5": _Fact(_f5, Fraction(0), Fraction(1, 5), True, False,
                 "1 - beta*delta4 exceeds the rational bound on (0, 1/5]"),
-    "F6": _Fact(_f6, Fraction(0), Fraction(1, 5), True, False,
-                "edge-count premise forces beta < 0.19"),
+    "F6": _decided(_f6, _implies(100), Fraction(0), Fraction(1, 5), True, False,
+                   "edge-count premise forces beta < 0.19"),
     "F7": _Fact(_f7, Fraction(17, 100), Fraction(19, 100), True, True,
                 "y >= 0.32 and z >= 0.38 on (0.17, 0.19)"),
     "F8": _Fact(_f8, Fraction(17, 100), Fraction(19, 100), True, True,
                 "final girth-8 display exceeds 1 throughout (0.17, 0.19)"),
     "F9": _Fact(_f9, Fraction(0), Fraction(0), False, False,
                 "girth-12 chain: 0.2667 in-degree and 0.2667 > 1 - delta/7"),
-    "F10": _Fact(_f10, Fraction(0), Fraction(1), False, False,
-                 "|X| counting step as a biconditional in |X|/|B|"),
-    "F11": _Fact(_f11, Fraction(0), Fraction(1, 2), True, False,
-                 "0.36 + 2b + (6b-0.64)/5 <= 1 iff b <= 0.24"),
+    "F10": _decided(_f10, _iff, Fraction(0), Fraction(1), False, False,
+                    "|X| counting step as a biconditional in |X|/|B|"),
+    "F11": _decided(_f11, _iff, Fraction(0), Fraction(1, 2), True, False,
+                    "0.36 + 2b + (6b-0.64)/5 <= 1 iff b <= 0.24"),
 }
+
+
+def _run_ends(terms: Callable, p: int, q: int, points: range) -> list[int]:
+    """The first and last index of each run of `points` on which no term at
+    (m*p, q) changes sign.  A term has degree <= 2 in m, so on either side of
+    its vertex its sign changes at most twice; bisection finds each change."""
+    def sign(m, i):
+        v = terms(m * p, q)[i]
+        return (v > 0) - (v < 0)
+
+    start, stop = points.start, points.stop
+    starts = {start}
+    for i, (h0, h1, h2, h3) in enumerate(zip(*(terms(m * p, q) for m in range(4)))):
+        assert h3 - 3 * h2 + 3 * h1 - h0 == 0, "a term above degree 2 in n"
+        a2 = h2 - 2 * h1 + h0  # the vertex is at (3*h0 - 4*h1 + h2)/(2*a2)
+        cut = (3 * h0 - 4 * h1 + h2) // (2 * a2) + 1 if a2 else start
+        cut = min(max(cut, start), stop)  # the first index past the vertex
+        starts.add(cut)
+        for a, b in ((start, cut - 1), (cut, stop - 1)):
+            while a < b and (first := sign(a, i)) != sign(b, i):
+                lo, hi = a, b
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if sign(mid, i) == first else (lo, mid)
+                starts.add(hi)
+                a = hi
+    starts = sorted(m for m in starts if m < stop)
+    return [m for a, b in zip(starts, starts[1:] + [stop]) for m in (a, b - 1)]
 
 
 def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
@@ -598,15 +641,19 @@ def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
 
     With step = p/q the check sees the point as (m*p, q); margins are
     compared by cross-multiplication, and only the reported first violation
-    and least margin become Fractions."""
+    and least margin become Fractions.  A threshold fact is checked only at
+    the two ends of each run of `_run_ends`: on a run its verdict is constant
+    and its linear margin is least at an end, so every point is decided."""
     fact = _CATALOG.get(fact_id)
     if fact is None:
         raise UnknownFact(f"no fact {fact_id!r} (known: {list(_CATALOG)})")
+    if step <= 0:
+        raise ValueError(f"grid step must be positive, got {step}")
     p, q = step.numerator, step.denominator
     check = fact.check
     points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
     first_violation = low = None
-    for m in points:
+    for m in points if fact.terms is None else _run_ends(fact.terms, p, q, points):
         ok, margin = check(m * p, q)
         if not ok and first_violation is None:
             first_violation = Fraction(m * p, q)

@@ -9,9 +9,11 @@ explicit adjacency dict, canonical forms and automorphism counts by
 trying every relabeling, the exhaustive search
 with nondecreasing A-rows as its only symmetry rule, the randomized
 search drawing each sample whole (its former loop and row drawing, kept
-verbatim) and running girth on every one, and the facts F1-F11
+verbatim) and running girth on every one, the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
-library's integer fact scan replaced, and the frontier classification from
+library's integer fact scan replaced, that integer scan with a check at
+every grid point, as it was before the threshold facts were decided from
+their sign changes, and the frontier classification from
 the paper's inequalities with the least bad t in closed form.  The
 edge-list parser's reference is its former per-line loop, kept verbatim;
 so are the circulant's and the frontier classifier's `Fraction` rules
@@ -472,6 +474,77 @@ def reference_scan(fact_id: str, step: Fraction) -> FactReport:
             margin_min = margin
     return FactReport(fact_id, fact.description, holds, first_violation,
                       margin_min, step, count)
+
+
+# ---------------------------------------------------------------------------
+# The per-point integer fact scan
+# ---------------------------------------------------------------------------
+
+# The integer checks of F1, F2, F6, F10 and F11 as they were before the
+# library decided them from their sign changes, with the constant that a
+# planted violation moves as a keyword.
+
+def int_f1(n, d, cut=219):
+    # (3b - 1/2)(1 - b) >= (1 - 2b)b times 2d^2 > 0
+    if (6 * n - d) * (d - n) >= 2 * (d - 2 * n) * n:
+        return 1000 * n > cut * d, (1000 * n - cut * d, 1000 * d)
+    return True, None
+
+
+def int_f2(n, d, cut=223):
+    # b*delta3 <= (1 - b*delta3)/(1 - 2b) times 1000d^2(1 - 2b) > 0 on (0, 0.223]
+    if 2886 * n * (d - 2 * n) <= d * (1000 * d - 2886 * n):
+        return 1000 * n < cut * d, (cut * d - 1000 * n, 1000 * d)
+    return True, None
+
+
+def int_f6(n, d, cut=19):
+    # (4/5 - 2b)b <= (1 - b)(1/delta4 - b) times 5*34814*d^2 > 0
+    if 34814 * n * (4 * d - 10 * n) <= 5 * (d - n) * (10000 * d - 34814 * n):
+        return 100 * n < cut * d, (cut * d - 100 * n, 100 * d)
+    return True, None
+
+
+_INT_F10_RATIOS = ((1, 2), (3, 4), (2886, 3000), (224465, 224539))
+
+
+def int_f10(n, d, two=2):
+    # out-degree-counting step as a biconditional in the ratio xi = |X|/|B|:
+    # c <= xi/2 + (1 - xi) times 2d*cd > 0 iff xi <= 2(1 - c) times d*cd > 0
+    for cn, cd in _INT_F10_RATIOS:
+        if (2 * d * cn <= cd * (2 * d - n)) != (n * cd <= two * d * (cd - cn)):
+            return False, None
+    return True, None
+
+
+def int_f11(n, d, cut=24):
+    # 0.36 + 2b + (6b - 0.64)/5 <= 1 times 500d > 0, iff b <= 0.24 times 100d > 0
+    return (1600 * n + 116 * d <= 500 * d) == (100 * n <= cut * d), None
+
+
+INT_FACTS = {"F1": int_f1, "F2": int_f2, "F6": int_f6, "F10": int_f10, "F11": int_f11}
+
+
+def point_scan(fact_id: str, step: Fraction, check=None) -> FactReport:
+    """`lemmas.fact_scan` as it was before it decided F1, F2, F6, F10 and F11
+    from their sign changes: `check` (by default the fact's former integer
+    check, or the library's for the other facts) called at every point of
+    the grid over the interval that `lemmas._CATALOG` gives the fact."""
+    fact = lemmas._CATALOG[fact_id]
+    p, q = step.numerator, step.denominator
+    check = check or INT_FACTS.get(fact_id, fact.check)
+    points = lemmas._grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
+    first_violation = low = None
+    for m in points:
+        ok, margin = check(m * p, q)
+        if not ok and first_violation is None:
+            first_violation = Fraction(m * p, q)
+        if margin is not None and (
+                low is None or margin[0] * low[1] < low[0] * margin[1]):
+            low = margin
+    return FactReport(fact_id, fact.description, first_violation is None,
+                      first_violation, None if low is None else Fraction(*low),
+                      step, len(points))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,12 @@ class TestRandomCompliant:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("seed", [-1, -2])
+    def test_negative_seed_is_rejected(self, seed):
+        # random.Random(-2) would repeat seed 2's rows
+        with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
+            random_compliant(6, 6, Fraction(1, 3), Fraction(1, 3), seed=seed)
+
     @pytest.mark.parametrize("sizes, alpha, beta", [
         ((6, 6), Fraction(1, 3), Fraction(1, 3)),
         ((7, 4), Fraction(2, 7), Fraction(3, 4)),

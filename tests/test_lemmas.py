@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import re
@@ -155,6 +156,11 @@ class TestOracle:
     @pytest.mark.parametrize("case", ["a", "b", "c"])
     def test_stress_sample(self, case):
         assert newineq_stress(case, 300, ord(case)) == 0
+
+    def test_stress_rejects_negative_seed(self):
+        # random.Random(-3) would run seed 3
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            newineq_stress("abc", 5, -3)
 
     @pytest.mark.parametrize("case", ["a", "b", "c"])
     def test_min_equals_bound(self, case):
@@ -432,6 +438,77 @@ class TestFactScan:
         for fid in all_fact_ids():
             step = F(1, 10000)
             assert fact_scan(fid, step=step) == oracles.reference_scan(fid, step), fid
+
+
+STEPS = (F(1, 100000), F(1, 99991), F(1, 997), F(3, 10000), F(1, 7), F(7, 3))
+THRESHOLD_FACTS = ("F1", "F2", "F6", "F10", "F11")
+
+
+@pytest.mark.parametrize("step", STEPS, ids=str)
+@pytest.mark.parametrize("fid", all_fact_ids())
+def test_scan_matches_point_scan(fid, step):
+    assert fact_scan(fid, step) == oracles.point_scan(fid, step)
+
+
+@pytest.mark.parametrize("step", STEPS, ids=str)
+@pytest.mark.parametrize("fid", THRESHOLD_FACTS)
+def test_widened_scan_matches_point_scan(monkeypatch, fid, step):
+    # on the closed [0, 1] F2's quadratic premise changes sign on both sides
+    # of its vertex, at about 0.223 and 0.777
+    widened = dataclasses.replace(lemmas._CATALOG[fid], lo=F(0), hi=F(1),
+                                  open_lo=False, open_hi=False)
+    monkeypatch.setitem(lemmas._CATALOG, fid, widened)
+    assert fact_scan(fid, step) == oracles.point_scan(fid, step)
+
+
+def _f10_conclusion_times(two):
+    # F10's terms with the 2 of its conclusion xi <= 2(1 - c) replaced
+    return lambda n, d: tuple(t for cn, cd in lemmas._F10_RATIOS for t in (
+        cd * (2 * d - n) - 2 * d * cn, two * d * (cd - cn) - n * cd))
+
+
+# a planted violation of each threshold fact: its terms with one constant
+# moved, the library's rule for them, and the former check with that move
+PLANTED = {
+    "F1": (lambda n, d: (lemmas._f1(n, d)[0], 1000 * n - 220 * d), lemmas._implies(1000),
+           functools.partial(oracles.int_f1, cut=220)),
+    "F2": (lambda n, d: (lemmas._f2(n, d)[0], 222 * d - 1000 * n), lemmas._implies(1000),
+           functools.partial(oracles.int_f2, cut=222)),
+    "F6": (lambda n, d: (lemmas._f6(n, d)[0], 18 * d - 100 * n), lemmas._implies(100),
+           functools.partial(oracles.int_f6, cut=18)),
+    "F10": (_f10_conclusion_times(3), lemmas._iff, functools.partial(oracles.int_f10, two=3)),
+    "F11": (lambda n, d: (lemmas._f11(n, d)[0], 23 * d - 100 * n), lemmas._iff,
+            functools.partial(oracles.int_f11, cut=23)),
+}
+
+
+@pytest.mark.parametrize("step", STEPS[:4], ids=str)
+@pytest.mark.parametrize("fid", THRESHOLD_FACTS)
+def test_planted_violation_matches_point_scan(monkeypatch, fid, step):
+    terms, rule, former = PLANTED[fid]
+    fact = lemmas._CATALOG[fid]
+    planted = lemmas._decided(terms, rule, fact.lo, fact.hi, fact.open_lo,
+                              fact.open_hi, fact.description)
+    monkeypatch.setitem(lemmas._CATALOG, fid, planted)
+    rep = fact_scan(fid, step)
+    assert rep.holds_everywhere is False
+    assert rep == oracles.point_scan(fid, step, former)
+
+
+@pytest.mark.parametrize("fid", THRESHOLD_FACTS)
+def test_threshold_fact_reads_few_points(monkeypatch, fid):
+    # a threshold fact is decided from its sign changes, not point by point
+    fact = lemmas._CATALOG[fid]
+    reads = []
+    monkeypatch.setitem(lemmas._CATALOG, fid, dataclasses.replace(
+        fact, terms=lambda n, d: reads.append(n) or fact.terms(n, d)))
+    assert fact_scan(fid).points_checked >= 20000 and len(reads) < 500
+
+
+@pytest.mark.parametrize("step", [F(0), F(-1, 100)])
+def test_nonpositive_step_is_rejected(step):
+    with pytest.raises(ValueError, match=re.escape(f"grid step must be positive, got {step}")):
+        fact_scan("F1", step)
 
 
 def _inside(fact, b):

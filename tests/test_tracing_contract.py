@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps functions by (module, attribute): each must
 stay importable there, and callers must keep calling through it, or only
-the traced benchmark run would notice."""
+the traced benchmark run would notice.  Likewise the benchmark's fact
+checks must accept what the fact scan reports."""
 
 import importlib
 import importlib.util
@@ -10,20 +11,37 @@ from pathlib import Path
 
 import pytest
 
-from bipgirth import frontier, lemmas, search
+from bipgirth import cli, frontier, lemmas, search
 from oracles import count_calls, whole_draw_search
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(monkeypatch, name):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_wrapped_attributes_exist(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench(monkeypatch, "tracing")
     missing = [f"bipgirth.{module}.{attr}" for module, attr, *_ in tracing.WRAPPED
                if not hasattr(importlib.import_module(f"bipgirth.{module}"), attr)]
     assert tracing.WRAPPED and missing == []
+
+
+def test_fact_checks_accept_the_scan(monkeypatch, capsys):
+    # the traced lemma_lab run checks each fact's grid size; a scan that
+    # miscounts its grid would fail only there
+    checks = _load_perfbench(monkeypatch, "checks")
+    reports = [lemmas.fact_scan(fid) for fid in lemmas.all_fact_ids()]
+    assert checks.check_fact_points(
+        [(r.fact_id, r.points_checked, r.grid_step) for r in reports]) is None
+    assert cli.main(["lemmas", "--all"]) == 0
+    assert checks.check_facts(capsys.readouterr().out) is None
 
 
 @pytest.mark.parametrize("k, resolution", [(2, 2), (4, 7), (1, 30)])
