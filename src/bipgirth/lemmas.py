@@ -5,9 +5,9 @@ All arithmetic is exact (`Fraction`, or `int` in cleared form).  The fact
 scan decides each fact at the points of a grid over its interval in
 integers, with its denominators cleared by a multiplier positive there.
 The threshold facts F1, F2, F6, F10 and F11 are decided at every point from
-the grid indices where their terms change sign, in a few dozen evaluations
-each (about 240 for F10's eight terms); F3, F5, F7 and F8 are checked point
-by point.  The results are still evidence at the stated resolution, not
+the grid indices where their terms change sign, in about 70 evaluations
+each (286 for F10's eight terms); F3, F5, F7 and F8 are checked point by
+point.  The results are still evidence at the stated resolution, not
 proofs.  The quadratic minimiser is deliberately independent of the bound
 formulas: it solves the minimisation in closed form and certifies its
 minimising triple as feasible, so "minimum >= bound" is an exact check.
@@ -15,6 +15,7 @@ minimising triple as feasible, so "minimum >= bound" is an exact check.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -610,29 +611,24 @@ _CATALOG: dict[str, _Fact] = {
 
 def _run_ends(terms: Callable, p: int, q: int, points: range) -> list[int]:
     """The first and last index of each run of `points` on which no term at
-    (m*p, q) changes sign.  A term has degree <= 2 in m, so on either side of
-    its vertex its sign changes at most twice; bisection finds each change."""
-    def sign(m, i):
-        v = terms(m * p, q)[i]
-        return (v > 0) - (v < 0)
-
+    (m*p, q) changes sign.  A term v has degree <= 2 in m, so on either side
+    of its vertex v >= 0 and v >= 1 (v > 0) each flip at most once, and
+    bisection finds where."""
     start, stop = points.start, points.stop
-    starts = {start}
+    starts = set()
     for i, (h0, h1, h2, h3) in enumerate(zip(*(terms(m * p, q) for m in range(4)))):
         assert h3 - 3 * h2 + 3 * h1 - h0 == 0, "a term above degree 2 in n"
         a2 = h2 - 2 * h1 + h0  # the vertex is at (3*h0 - 4*h1 + h2)/(2*a2)
         cut = (3 * h0 - 4 * h1 + h2) // (2 * a2) + 1 if a2 else start
         cut = min(max(cut, start), stop)  # the first index past the vertex
-        starts.add(cut)
-        for a, b in ((start, cut - 1), (cut, stop - 1)):
-            while a < b and (first := sign(a, i)) != sign(b, i):
-                lo, hi = a, b
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (mid, hi) if sign(mid, i) == first else (lo, mid)
-                starts.add(hi)
-                a = hi
-    starts = sorted(m for m in starts if m < stop)
+        for piece in (range(start, cut), range(cut, stop)):
+            starts.update(piece[:1])
+            for least in (0, 1) if piece else ():
+                first = terms(piece[0] * p, q)[i] >= least
+                k = bisect.bisect_left(  # the first index where v >= least flips
+                    piece, True, key=lambda m: (terms(m * p, q)[i] >= least) != first)
+                starts.update(piece[k:k + 1])
+    starts = sorted(starts)
     return [m for a, b in zip(starts, starts[1:] + [stop]) for m in (a, b - 1)]
 
 

@@ -495,6 +495,36 @@ def test_planted_violation_matches_point_scan(monkeypatch, fid, step):
     assert rep == oracles.point_scan(fid, step, former)
 
 
+def test_runs_tile_the_grid_and_keep_every_sign():
+    # random quadratic terms in (n, d), often zero at a grid point, on grids
+    # that straddle their vertices
+    rng = random.Random(17)
+    for _ in range(400):
+        coeffs = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(rng.randint(1, 3))]
+
+        def terms(n, d):
+            return tuple(a * n * n + b * n * d + c * d * d for a, b, c in coeffs)
+
+        def signs(m):
+            return [(v > 0) - (v < 0) for v in terms(m * p, q)]
+
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        points = range(rng.randint(-20, 5), rng.randint(-5, 30))
+        ends = lemmas._run_ends(terms, p, q, points)
+        if not points:
+            assert ends == []
+            continue
+        assert ends[0] == points.start and ends[-1] == points[-1]
+        assert ends[2::2] == [b + 1 for b in ends[1:-1:2]]
+        for a, b in zip(ends[::2], ends[1::2]):
+            assert all(signs(m) == signs(a) for m in range(a, b + 1)), (coeffs, p, q, a, b)
+
+
+def test_run_ends_rejects_a_cubic_term():
+    with pytest.raises(AssertionError, match="above degree 2"):
+        lemmas._run_ends(lambda n, d: (n ** 3 - d ** 3,), 1, 1, range(10))
+
+
 @pytest.mark.parametrize("fid", THRESHOLD_FACTS)
 def test_threshold_fact_reads_few_points(monkeypatch, fid):
     # a threshold fact is decided from its sign changes, not point by point
