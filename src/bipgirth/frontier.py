@@ -87,6 +87,11 @@ class Verdict:
             return f"witness:{self.witness}"
         return ""
 
+    @functools.cached_property
+    def _csv(self) -> str:
+        # formatted once per Verdict, which `_verdict` shares among points
+        return f"{self.status.value},{self.provenance}"
+
 
 def bad_pairs(k: int, t_max: int) -> list[AlphaBeta]:
     """Maximal bad pairs (t/(kt+1), 1/(kt+1)) and mirrors, t = 1..t_max."""
@@ -110,34 +115,35 @@ def _least_t(k: int, x: int, y: int, d: int) -> Optional[int]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _verdict(status: Status, rule: Optional[str] = None, t: Optional[int] = None,
+def _verdict(status: str, rule: Optional[str] = None, t: Optional[int] = None,
              mirrored: bool = False) -> Verdict:
-    witness = BadWitness(t, mirrored) if status is Status.BAD else None
-    return Verdict(status, rule, witness)
+    # keyed on the Status's value: hashing a Status is a Python call
+    witness = BadWitness(t, mirrored) if status == "bad" else None
+    return Verdict(Status(status), rule, witness)
 
 
 def _classify(k: int, x: int, y: int, d: int) -> Verdict:
     """Verdict at the point (x/d, y/d), d > 0, by the integer rules and the
     least bad t of the module docstring."""
     if x == 0 or y == 0:
-        return _verdict(Status.BAD)
-    s, low = x + y, min(x, y)
+        return _verdict("bad")
+    s = x + y
     rule = ("k'=1: alpha+beta>1" if s > d
             else "k'=2: 2*alpha+beta>1" if k >= 2 and 2 * x + y > d
             else "k'=2: alpha+2*beta>1" if k >= 2 and x + 2 * y > d
             else "k'=3: alpha+beta>1/2" if k >= 3 and 2 * s > d
             else "k'=4: alpha+beta>2/5" if k >= 4 and 5 * s > 2 * d
-            else "k'=6: min(alpha,beta)>1/7" if k >= 6 and 7 * low > d
+            else "k'=6: min(alpha,beta)>1/7" if k >= 6 and 7 * min(x, y) > d
             else f"k'={k}: min(alpha,beta)>1/{k + 1}"
-            if k >= LARGE_K_START and (k + 1) * low > d else None)
+            if k >= LARGE_K_START and (k + 1) * min(x, y) > d else None)
     plain, mirror = _least_t(k, x, y, d), _least_t(k, y, x, d)
     assert not (rule and (plain or mirror)), f"({x}/{d},{y}/{d}) both Good and Bad"
     if rule:
-        return _verdict(Status.GOOD, rule)
+        return _verdict("good", rule)
     if plain is None and mirror is None:
-        return _verdict(Status.UNKNOWN)
+        return _verdict("unknown")
     mirrored = plain is None or mirror is not None and mirror < plain
-    return _verdict(Status.BAD, None, mirror if mirrored else plain, mirrored)
+    return _verdict("bad", None, mirror if mirrored else plain, mirrored)
 
 
 def classify(k: int, p: AlphaBeta) -> Verdict:
@@ -146,10 +152,10 @@ def classify(k: int, p: AlphaBeta) -> Verdict:
     lcm of its two denominators and decided in integers."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    a, b = p.alpha, p.beta
-    d = math.lcm(a.denominator, b.denominator)
-    return _classify(k, a.numerator * (d // a.denominator),
-                     b.numerator * (d // b.denominator), d)
+    x, d = p.alpha.as_integer_ratio()
+    y, e = p.beta.as_integer_ratio()
+    m = math.lcm(d, e)
+    return _classify(k, x * (m // d), y * (m // e), m)
 
 
 def region_grid(k: int, resolution: int) -> Iterator[tuple[Fraction, Fraction, Verdict]]:
@@ -163,10 +169,10 @@ def region_grid(k: int, resolution: int) -> Iterator[tuple[Fraction, Fraction, V
 
 
 def region_csv(k: int, resolution: int) -> str:
-    lines = ["alpha,beta,status,provenance"]
-    for a, b, v in region_grid(k, resolution):
-        lines.append(f"{a},{b},{v.status.value},{v.provenance}")
-    return "\n".join(lines) + "\n"
+    axis = [str(Fraction(i, resolution)) for i in range(resolution + 1)]
+    cells = (f"{a},{b}," for a in axis for b in axis)  # in region_grid's order
+    rows = (cell + v._csv for cell, (_, _, v) in zip(cells, region_grid(k, resolution)))
+    return "\n".join(["alpha,beta,status,provenance", *rows, ""])  # one copy of the text
 
 
 _SVG_COLORS = {Status.GOOD: "#9be29b", Status.BAD: "#e89b9b", Status.UNKNOWN: "#d9d9d9"}
@@ -176,12 +182,12 @@ def region_svg(k: int, resolution: int) -> str:
     """Chart of the classified grid, 600 pixels square; for k=2 this mirrors
     the staircase of bad construction points and the lines 2a+b=1, a+2b=1."""
     size = 600
-    cell = size / resolution
+    cell = size / (resolution + 1)  # the (resolution+1)^2 cells tile the canvas
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">']
-    for a, b, v in region_grid(k, resolution):
-        x = float(a) * size
-        y = size - float(b) * size - cell
+    for n, (_, _, v) in enumerate(region_grid(k, resolution)):
+        i, j = divmod(n, resolution + 1)  # the point (i/resolution, j/resolution)
+        x, y = i * cell, size - (j + 1) * cell
         parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" '
                      f'height="{cell:.2f}" fill="{_SVG_COLORS[v.status]}"/>')
     # boundary lines k*a+b=1 and a+k*b=1

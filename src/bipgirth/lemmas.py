@@ -4,9 +4,9 @@ the large-k threshold, delta constants, and the numeric fact catalog.
 All arithmetic is exact (`Fraction`, or `int` in cleared form).  The fact
 scan decides each fact at the points of a grid over its interval in
 integers, with its denominators cleared by a multiplier positive there.
-The threshold facts F1, F2, F6, F10 and F11 are decided at every point from
-the grid indices where their terms change sign, in about 70 evaluations
-each (286 for F10's eight terms); F3, F5, F7 and F8 are checked point by
+The threshold facts F1, F2, F5, F6, F7, F10 and F11 are decided at every
+point from the grid indices where their terms change sign, in at most a few
+hundred evaluations of their terms each; F3 and F8 are checked point by
 point.  The results are still evidence at the stated resolution, not
 proofs.  The quadratic minimiser is deliberately independent of the bound
 formulas: it solves the minimisation in closed form and certifies its
@@ -475,7 +475,7 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction,
 # returns its margin as a pair (num, den) with den > 0.  A point fact (F4,
 # F9) has the one-point interval [0, 0]: it reads neither n nor d.  A threshold
 # fact is a rule read on its terms: integers of degree <= 2 in n whose signs
-# alone fix the verdict, the margin being linear in n.
+# alone fix the verdict, the margin being linear in n or concave in b.
 IntervalCheck = Callable[[int, int], tuple[bool, Optional[tuple[int, int]]]]
 
 
@@ -503,9 +503,11 @@ def _f4(_n, _d):
 
 
 def _f5(n, d):
-    # (1 - b*delta4) - (b/5 + 9/(3 + 5b) - 2) over 10000d(3d + 5n) > 0, as b > 0
-    num = (3 * d + 5 * n) * (30000 * d - 36814 * n) - 90000 * d * d
-    return num > 0, (num, 10000 * d * (3 * d + 5 * n))
+    # (1 - b*delta4) - (b/5 + 9/(3 + 5b) - 2) over 10000d(3d + 5n) > 0, as b > 0.
+    # The margin 3 - 3.6814b - 9/(3 + 5b) is concave, so on a run of constant
+    # sign it is least at an end
+    return ((3 * d + 5 * n) * (30000 * d - 36814 * n) - 90000 * d * d,
+            10000 * d * (3 * d + 5 * n))
 
 
 def _f6(n, d):
@@ -517,11 +519,12 @@ def _f6(n, d):
 
 def _f7(n, d):
     # m1 = 5b/(3 + 5b) + 3b/5 - 0.32 over 100d(3d + 5n) > 0, as b > 0;
-    # m2 = (2/5 - b)(3/5 + 1/(1 - b)) - 0.38 over 100d(d - n) > 0, as b < 1
-    m1 = (500 * n * d + (3 * d + 5 * n) * (60 * n - 32 * d), 100 * d * (3 * d + 5 * n))
-    m2 = (4 * (2 * d - 5 * n) * (8 * d - 3 * n) - 38 * d * (d - n), 100 * d * (d - n))
-    low = m1 if m1[0] * m2[1] <= m2[0] * m1[1] else m2
-    return m1[0] >= 0 and m2[0] >= 0, low
+    # m2 = (2/5 - b)(3/5 + 1/(1 - b)) - 0.38 over 100d(d - n) > 0, as b < 1.
+    # m1 = 1 - 3/(3 + 5b) + 3b/5 - 0.32 and m2 = (2/5 - b)3/5 + 1 - (3/5)/(1 - b)
+    # - 0.38 are concave, and so is the lesser of them: on a run of constant
+    # signs it is least at an end
+    return (500 * n * d + (3 * d + 5 * n) * (60 * n - 32 * d), 100 * d * (3 * d + 5 * n),
+            4 * (2 * d - 5 * n) * (8 * d - 3 * n) - 38 * d * (d - n), 100 * d * (d - n))
 
 
 def _f8(n, d):
@@ -550,7 +553,9 @@ _F10_RATIOS = ((1, 2), (3, 4), (2886, 3000), (224465, 224539))
 
 def _f10(n, d):
     # out-degree-counting step as a biconditional in the ratio xi = |X|/|B|:
-    # c <= xi/2 + (1 - xi) times 2d*cd > 0 iff xi <= 2(1 - c) times d*cd > 0
+    # c <= xi/2 + (1 - xi) times 2d*cd > 0 iff xi <= 2(1 - c) times d*cd > 0.
+    # Both terms of each pair expand to 2d*cd - 2d*cn - n*cd: F10 is an
+    # identity, and holds at every b
     return tuple(t for cn, cd in _F10_RATIOS
                  for t in (cd * (2 * d - n) - 2 * d * cn, 2 * d * (cd - cn) - n * cd))
 
@@ -566,6 +571,15 @@ def _implies(scale):  # F1, F2, F6: P >= 0 implies L > 0, margin L/(scale*d)
 
 def _iff(t, _d):  # F10, F11: a >= 0 iff b >= 0 for each pair (a, b) of terms
     return all((a >= 0) == (b >= 0) for a, b in zip(t[::2], t[1::2])), None
+
+
+def _positive(t, _d):  # F5: v > 0, margin v/w
+    return t[0] > 0, t
+
+
+def _both(t, _d):  # F7: v1 >= 0 and v2 >= 0, margin the lesser of v1/w1 and v2/w2
+    v1, w1, v2, w2 = t
+    return v1 >= 0 and v2 >= 0, t[:2] if v1 * w2 <= v2 * w1 else t[2:]
 
 
 @dataclass(frozen=True)
@@ -592,12 +606,12 @@ _CATALOG: dict[str, _Fact] = {
                 "second lower bound dominates on (0.219, 0.223)"),
     "F4": _Fact(_f4, Fraction(0), Fraction(0), False, False,
                 "1/(1+delta3) < 0.258"),
-    "F5": _Fact(_f5, Fraction(0), Fraction(1, 5), True, False,
-                "1 - beta*delta4 exceeds the rational bound on (0, 1/5]"),
+    "F5": _decided(_f5, _positive, Fraction(0), Fraction(1, 5), True, False,
+                   "1 - beta*delta4 exceeds the rational bound on (0, 1/5]"),
     "F6": _decided(_f6, _implies(100), Fraction(0), Fraction(1, 5), True, False,
                    "edge-count premise forces beta < 0.19"),
-    "F7": _Fact(_f7, Fraction(17, 100), Fraction(19, 100), True, True,
-                "y >= 0.32 and z >= 0.38 on (0.17, 0.19)"),
+    "F7": _decided(_f7, _both, Fraction(17, 100), Fraction(19, 100), True, True,
+                   "y >= 0.32 and z >= 0.38 on (0.17, 0.19)"),
     "F8": _Fact(_f8, Fraction(17, 100), Fraction(19, 100), True, True,
                 "final girth-8 display exceeds 1 throughout (0.17, 0.19)"),
     "F9": _Fact(_f9, Fraction(0), Fraction(0), False, False,
@@ -639,7 +653,7 @@ def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
     compared by cross-multiplication, and only the reported first violation
     and least margin become Fractions.  A threshold fact is checked only at
     the two ends of each run of `_run_ends`: on a run its verdict is constant
-    and its linear margin is least at an end, so every point is decided."""
+    and its linear or concave margin is least at an end, so each point is decided."""
     fact = _CATALOG.get(fact_id)
     if fact is None:
         raise UnknownFact(f"no fact {fact_id!r} (known: {list(_CATALOG)})")

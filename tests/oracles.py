@@ -480,9 +480,9 @@ def reference_scan(fact_id: str, step: Fraction) -> FactReport:
 # The per-point integer fact scan
 # ---------------------------------------------------------------------------
 
-# The integer checks of F1, F2, F6, F10 and F11 as they were before the
-# library decided them from their sign changes, with the constant that a
-# planted violation moves as a keyword.
+# The integer checks of F1, F2, F5, F6, F7, F10 and F11 as they were before
+# the library decided them from their sign changes, with the constant that
+# a planted violation moves as a keyword.
 
 def int_f1(n, d, cut=219):
     # (3b - 1/2)(1 - b) >= (1 - 2b)b times 2d^2 > 0
@@ -498,11 +498,26 @@ def int_f2(n, d, cut=223):
     return True, None
 
 
+def int_f5(n, d, delta4=36814):
+    # (1 - b*delta4) - (b/5 + 9/(3 + 5b) - 2) over 10000d(3d + 5n) > 0, as b > 0
+    num = (3 * d + 5 * n) * (30000 * d - delta4 * n) - 90000 * d * d
+    return num > 0, (num, 10000 * d * (3 * d + 5 * n))
+
+
 def int_f6(n, d, cut=19):
     # (4/5 - 2b)b <= (1 - b)(1/delta4 - b) times 5*34814*d^2 > 0
     if 34814 * n * (4 * d - 10 * n) <= 5 * (d - n) * (10000 * d - 34814 * n):
         return 100 * n < cut * d, (cut * d - 100 * n, 100 * d)
     return True, None
+
+
+def int_f7(n, d, y=32):
+    # m1 = 5b/(3 + 5b) + 3b/5 - y/100 over 100d(3d + 5n) > 0, as b > 0;
+    # m2 = (2/5 - b)(3/5 + 1/(1 - b)) - 0.38 over 100d(d - n) > 0, as b < 1
+    m1 = (500 * n * d + (3 * d + 5 * n) * (60 * n - y * d), 100 * d * (3 * d + 5 * n))
+    m2 = (4 * (2 * d - 5 * n) * (8 * d - 3 * n) - 38 * d * (d - n), 100 * d * (d - n))
+    low = m1 if m1[0] * m2[1] <= m2[0] * m1[1] else m2
+    return m1[0] >= 0 and m2[0] >= 0, low
 
 
 _INT_F10_RATIOS = ((1, 2), (3, 4), (2886, 3000), (224465, 224539))
@@ -522,11 +537,12 @@ def int_f11(n, d, cut=24):
     return (1600 * n + 116 * d <= 500 * d) == (100 * n <= cut * d), None
 
 
-INT_FACTS = {"F1": int_f1, "F2": int_f2, "F6": int_f6, "F10": int_f10, "F11": int_f11}
+INT_FACTS = {"F1": int_f1, "F2": int_f2, "F5": int_f5, "F6": int_f6, "F7": int_f7,
+             "F10": int_f10, "F11": int_f11}
 
 
 def point_scan(fact_id: str, step: Fraction, check=None) -> FactReport:
-    """`lemmas.fact_scan` as it was before it decided F1, F2, F6, F10 and F11
+    """`lemmas.fact_scan` as it was before it decided the threshold facts
     from their sign changes: `check` (by default the fact's former integer
     check, or the library's for the other facts) called at every point of
     the grid over the interval that `lemmas._CATALOG` gives the fact."""

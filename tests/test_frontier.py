@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -152,7 +153,7 @@ def _loop_csv(k, resolution):
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 100])
-@pytest.mark.parametrize("k", [1, 2, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_region_csv_matches_loop_kernel(k, resolution):
     assert region_csv(k, resolution) == _loop_csv(k, resolution)
 
@@ -175,6 +176,21 @@ class TestRegion:
         for line in region_csv(2, 40).strip().split("\n")[1:]:
             status = line.split(",")[2]
             assert status in ("good", "bad", "unknown")
+
+    @pytest.mark.parametrize("resolution", [2, 3, 40])
+    def test_svg_cells_tile_the_canvas(self, resolution):
+        # one cell per lattice point, each inside the 600x600 viewBox, in
+        # resolution+1 columns and rows that meet edge to edge
+        rects = [tuple(map(float, m)) for m in re.findall(
+            r'<rect x="(-?[\d.]+)" y="(-?[\d.]+)" width="([\d.]+)" height="([\d.]+)"',
+            region_svg(2, resolution))]
+        n = resolution + 1
+        assert len(rects) == len({(x, y) for x, y, _, _ in rects}) == n * n
+        assert all(0 <= x and 0 <= y and x + w <= 600.005 and y + h <= 600.005
+                   for x, y, w, h in rects)
+        for edges in ({x for x, *_ in rects}, {y for _, y, *_ in rects}):
+            assert sorted(edges) == pytest.approx([i * 600 / n for i in range(n)], abs=0.005)
+        assert {(w, h) for *_, w, h in rects} == {(round(600 / n, 2),) * 2}
 
     def test_svg_wellformed(self):
         svg = region_svg(2, 8)

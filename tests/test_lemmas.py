@@ -441,7 +441,7 @@ class TestFactScan:
 
 
 STEPS = (F(1, 100000), F(1, 99991), F(1, 997), F(3, 10000), F(1, 7), F(7, 3))
-THRESHOLD_FACTS = ("F1", "F2", "F6", "F10", "F11")
+THRESHOLD_FACTS = ("F1", "F2", "F5", "F6", "F7", "F10", "F11")
 
 
 @pytest.mark.parametrize("step", STEPS, ids=str)
@@ -451,10 +451,10 @@ def test_scan_matches_point_scan(fid, step):
 
 
 @pytest.mark.parametrize("step", STEPS, ids=str)
-@pytest.mark.parametrize("fid", THRESHOLD_FACTS)
+@pytest.mark.parametrize("fid", [f for f in THRESHOLD_FACTS if f != "F7"])
 def test_widened_scan_matches_point_scan(monkeypatch, fid, step):
     # on the closed [0, 1] F2's quadratic premise changes sign on both sides
-    # of its vertex, at about 0.223 and 0.777
+    # of its vertex, at about 0.223 and 0.777; F7's m2 has its pole at b = 1
     widened = dataclasses.replace(lemmas._CATALOG[fid], lo=F(0), hi=F(1),
                                   open_lo=False, open_hi=False)
     monkeypatch.setitem(lemmas._CATALOG, fid, widened)
@@ -468,14 +468,20 @@ def _f10_conclusion_times(two):
 
 
 # a planted violation of each threshold fact: its terms with one constant
-# moved, the library's rule for them, and the former check with that move
+# moved, the library's rule for them, and the former check with that move.
+# F5's delta4 = 3.6814 becomes 3.7814, which fails near b = 1/5; F7's 0.32
+# becomes 0.33, which fails near b = 0.17
 PLANTED = {
     "F1": (lambda n, d: (lemmas._f1(n, d)[0], 1000 * n - 220 * d), lemmas._implies(1000),
            functools.partial(oracles.int_f1, cut=220)),
     "F2": (lambda n, d: (lemmas._f2(n, d)[0], 222 * d - 1000 * n), lemmas._implies(1000),
            functools.partial(oracles.int_f2, cut=222)),
+    "F5": (lambda n, d: (lemmas._f5(n, d)[0] - 1000 * n * (3 * d + 5 * n), lemmas._f5(n, d)[1]),
+           lemmas._positive, functools.partial(oracles.int_f5, delta4=37814)),
     "F6": (lambda n, d: (lemmas._f6(n, d)[0], 18 * d - 100 * n), lemmas._implies(100),
            functools.partial(oracles.int_f6, cut=18)),
+    "F7": (lambda n, d: (lemmas._f7(n, d)[0] - d * (3 * d + 5 * n), *lemmas._f7(n, d)[1:]),
+           lemmas._both, functools.partial(oracles.int_f7, y=33)),
     "F10": (_f10_conclusion_times(3), lemmas._iff, functools.partial(oracles.int_f10, two=3)),
     "F11": (lambda n, d: (lemmas._f11(n, d)[0], 23 * d - 100 * n), lemmas._iff,
             functools.partial(oracles.int_f11, cut=23)),
@@ -525,6 +531,11 @@ def test_run_ends_rejects_a_cubic_term():
         lemmas._run_ends(lambda n, d: (n ** 3 - d ** 3,), 1, 1, range(10))
 
 
+# the grid points of each threshold fact at the default step 1/100000
+GRID_POINTS = {"F1": 50000, "F2": 22300, "F5": 20000, "F6": 20000, "F7": 1999,
+               "F10": 100001, "F11": 50000}
+
+
 @pytest.mark.parametrize("fid", THRESHOLD_FACTS)
 def test_threshold_fact_reads_few_points(monkeypatch, fid):
     # a threshold fact is decided from its sign changes, not point by point
@@ -532,7 +543,30 @@ def test_threshold_fact_reads_few_points(monkeypatch, fid):
     reads = []
     monkeypatch.setitem(lemmas._CATALOG, fid, dataclasses.replace(
         fact, terms=lambda n, d: reads.append(n) or fact.terms(n, d)))
-    assert fact_scan(fid).points_checked >= 20000 and len(reads) < 500
+    assert fact_scan(fid).points_checked == GRID_POINTS[fid] and len(reads) < 500
+
+
+@pytest.mark.parametrize("fid", ["F5", "F7"])
+def test_margins_are_concave(fid):
+    # the scan reads F5's and F7's margins only at the ends of each run of
+    # constant signs, which is exact because each margin v/w is concave:
+    # its exact second differences at step 1/1000 are <= 0
+    fact = lemmas._CATALOG[fid]
+    grid = lemmas._grid(fact.lo, fact.hi, F(1, 1000), fact.open_lo, fact.open_hi)
+    margins = [[F(v, w) for v, w in zip(t[::2], t[1::2])]
+               for t in (fact.terms(m, 1000) for m in grid)]
+    assert len(margins) >= 19
+    for u, v, w in zip(margins, margins[1:], margins[2:]):
+        assert all(a - 2 * b + c <= 0 for a, b, c in zip(u, v, w)), (fid, u)
+
+
+def test_f10_premise_and_conclusion_are_one_polynomial():
+    # cd*(2d - n) - 2d*cn and 2d*(cd - cn) - n*cd, for each of the four ratios
+    rng = random.Random(10)
+    for _ in range(1000):
+        n, d = rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9)
+        terms = lemmas._f10(n, d)
+        assert len(terms) == 8 and terms[::2] == terms[1::2], (n, d)
 
 
 @pytest.mark.parametrize("step", [F(0), F(-1, 100)])

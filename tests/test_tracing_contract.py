@@ -44,6 +44,15 @@ def test_fact_checks_accept_the_scan(monkeypatch, capsys):
     assert checks.check_facts(capsys.readouterr().out) is None
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_region_check_accepts_the_csv(monkeypatch, k):
+    # the lemma_lab workload checks each region CSV row against its own
+    # classifier; a CSV it would call incorrect fails here first
+    checks = _load_perfbench(monkeypatch, "checks")
+    statuses = checks.region_statuses(k, 100)
+    assert checks.check_region(frontier.region_csv(k, 100), k, 100, statuses) is None
+
+
 @pytest.mark.parametrize("k, resolution", [(2, 2), (4, 7), (1, 30)])
 def test_region_grid_classifies_through_the_module(k, resolution):
     # frontier.points_classified counts the calls to frontier.classify
