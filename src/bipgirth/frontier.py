@@ -175,7 +175,7 @@ def region_csv(k: int, resolution: int) -> str:
     return "\n".join(["alpha,beta,status,provenance", *rows, ""])  # one copy of the text
 
 
-_SVG_COLORS = {Status.GOOD: "#9be29b", Status.BAD: "#e89b9b", Status.UNKNOWN: "#d9d9d9"}
+_SVG_COLORS = {"good": "#9be29b", "bad": "#e89b9b", "unknown": "#d9d9d9"}  # by Status value
 
 
 def region_svg(k: int, resolution: int) -> str:
@@ -189,7 +189,7 @@ def region_svg(k: int, resolution: int) -> str:
         i, j = divmod(n, resolution + 1)  # the point (i/resolution, j/resolution)
         x, y = i * cell, size - (j + 1) * cell
         parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" '
-                     f'height="{cell:.2f}" fill="{_SVG_COLORS[v.status]}"/>')
+                     f'height="{cell:.2f}" fill="{_SVG_COLORS[v.status._value_]}"/>')
     # boundary lines k*a+b=1 and a+k*b=1
     def pt(a: float, b: float) -> str:
         return f"{a * size:.2f},{size - b * size:.2f}"

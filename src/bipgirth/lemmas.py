@@ -4,13 +4,13 @@ the large-k threshold, delta constants, and the numeric fact catalog.
 All arithmetic is exact (`Fraction`, or `int` in cleared form).  The fact
 scan decides each fact at the points of a grid over its interval in
 integers, with its denominators cleared by a multiplier positive there.
-The threshold facts F1, F2, F5, F6, F7, F10 and F11 are decided at every
-point from the grid indices where their terms change sign, in at most a few
-hundred evaluations of their terms each; F3 and F8 are checked point by
-point.  The results are still evidence at the stated resolution, not
-proofs.  The quadratic minimiser is deliberately independent of the bound
-formulas: it solves the minimisation in closed form and certifies its
-minimising triple as feasible, so "minimum >= bound" is an exact check.
+Every fact is decided at every point from the grid indices where its
+terms, integer polynomials of degree at most 4, change sign, from a few
+evaluations of its terms.  The results are still evidence at the stated
+resolution, not proofs.  The quadratic minimiser is deliberately
+independent of the bound formulas: it solves the minimisation in closed
+form and certifies its minimising triple as feasible, so "minimum >= bound"
+is an exact check.
 """
 
 from __future__ import annotations
@@ -470,13 +470,13 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction,
     return range(start, stop + 1)
 
 
-# A fact is decided at b = n/d (d > 0) in integers: each check clears its
-# denominators by a multiplier that is positive on the fact's interval, and
-# returns its margin as a pair (num, den) with den > 0.  A point fact (F4,
-# F9) has the one-point interval [0, 0]: it reads neither n nor d.  A threshold
-# fact is a rule read on its terms: integers of degree <= 2 in n whose signs
-# alone fix the verdict, the margin being linear in n or concave in b.
-IntervalCheck = Callable[[int, int], tuple[bool, Optional[tuple[int, int]]]]
+# A fact is decided at b = n/d (d > 0) in integers: its terms are integer
+# polynomials in n, with denominators cleared by a multiplier positive on the
+# fact's interval.  Its rule takes the verdict from their signs alone, and its
+# margins, pairs (num, den) with den > 0, each linear in n, or concave or
+# monotone in b there, so least at an end of a run of constant signs.
+# A point fact (F4, F9) has the one-point interval [0, 0]: it reads neither n nor d.
+_CAP = 4  # F8's numerators are quartic
 
 
 def _f1(n, d):
@@ -492,20 +492,20 @@ def _f2(n, d):
 
 def _f3(n, d):
     # (1 - 2b)b/(3b - 1/2) - (1 - b*delta3)/(1 - 2b) over 1000d(6n - d)(d - 2n),
-    # which is > 0 as 1/6 < b < 1/2
-    num = 2000 * n * (d - 2 * n) ** 2 - d * (6 * n - d) * (1000 * d - 2886 * n)
-    return num >= 0, (num, 1000 * d * (6 * n - d) * (d - 2 * n))
+    # which is > 0 as 1/6 < b < 1/2.  The margin falls across (0.219, 0.223):
+    # its derivative has real roots near 0.2695 and 1.0572 only, and its poles
+    # are at 1/6 and 1/2
+    return (2000 * n * (d - 2 * n) ** 2 - d * (6 * n - d) * (1000 * d - 2886 * n),
+            1000 * d * (6 * n - d) * (d - 2 * n))
 
 
 def _f4(_n, _d):
-    m = Fraction(258, 1000) - 1 / (1 + DELTA3)
-    return m > 0, (m.numerator, m.denominator)
+    return (Fraction(258, 1000) - 1 / (1 + DELTA3)).as_integer_ratio()
 
 
 def _f5(n, d):
     # (1 - b*delta4) - (b/5 + 9/(3 + 5b) - 2) over 10000d(3d + 5n) > 0, as b > 0.
-    # The margin 3 - 3.6814b - 9/(3 + 5b) is concave, so on a run of constant
-    # sign it is least at an end
+    # The margin 3 - 3.6814b - 9/(3 + 5b) is concave
     return ((3 * d + 5 * n) * (30000 * d - 36814 * n) - 90000 * d * d,
             10000 * d * (3 * d + 5 * n))
 
@@ -521,8 +521,7 @@ def _f7(n, d):
     # m1 = 5b/(3 + 5b) + 3b/5 - 0.32 over 100d(3d + 5n) > 0, as b > 0;
     # m2 = (2/5 - b)(3/5 + 1/(1 - b)) - 0.38 over 100d(d - n) > 0, as b < 1.
     # m1 = 1 - 3/(3 + 5b) + 3b/5 - 0.32 and m2 = (2/5 - b)3/5 + 1 - (3/5)/(1 - b)
-    # - 0.38 are concave, and so is the lesser of them: on a run of constant
-    # signs it is least at an end
+    # - 0.38 are concave, and so is the lesser of them
     return (500 * n * d + (3 * d + 5 * n) * (60 * n - 32 * d), 100 * d * (3 * d + 5 * n),
             4 * (2 * d - 5 * n) * (8 * d - 3 * n) - 38 * d * (d - n), 100 * d * (d - n))
 
@@ -531,20 +530,22 @@ def _f8(n, d):
     # the final display of the girth-8 argument must exceed 1 throughout; the
     # left side is concave in alpha, so its minimum over [2/5 - beta, 1/2] is
     # at an endpoint.  With xp = p/q and u = 2*alpha - 0.38 = w/(50d) there,
-    # the display minus 1 is num/(25dnq^2); 25dnq^2 > 0, as b > 0.17 > 0.072
-    # makes n > 0 and q > 0
+    # the display minus 1 is num/(25dnq^2) at each end w; 25dnq^2 > 0, as
+    # b > 0.17 > 0.072 makes n > 0 and q > 0.  Both margins are concave on
+    # (0.17, 0.19): their second-derivative numerators have roots at 0.1215
+    # and 0.5813, and at -1.0628 and 0.1478, and their denominators vanish
+    # only at 0 and 0.0714
     p = 44814 * n - 5000 * d
     q = 44814 * n - 3200 * d
-    num = min(w * p * (n * q - 18 * w * d) for w in (21 * d - 100 * n, 31 * d))
-    num += n * q * q * (25 * n - 6 * d)
-    return num > 0, (num, 25 * d * n * q * q)
+    tail = n * q * q * (25 * n - 6 * d)
+    return tuple(t for w in (21 * d - 100 * n, 31 * d)
+                 for t in (w * p * (n * q - 18 * w * d) + tail, 25 * d * n * q * q))
 
 
 def _f9(_n, _d):
     m1 = DELTA12 / 49 - Fraction(2667, 10000) * Fraction(3993, 10000)
     m2 = Fraction(2667, 10000) - (1 - DELTA12 / 7)
-    m = min(m1, m2)
-    return m1 >= 0 and m2 > 0, (m.numerator, m.denominator)
+    return (*m1.as_integer_ratio(), *m2.as_integer_ratio())
 
 
 # representative values c = delta/k: 1/2, 3/4, delta3/3, 1 - 74/224539
@@ -566,110 +567,116 @@ def _f11(n, d):
 
 
 def _implies(scale):  # F1, F2, F6: P >= 0 implies L > 0, margin L/(scale*d)
-    return lambda t, d: (t[1] > 0, (t[1], scale * d)) if t[0] >= 0 else (True, None)
+    return lambda t, d: (t[1] > 0, [(t[1], scale * d)]) if t[0] >= 0 else (True, [])
 
 
 def _iff(t, _d):  # F10, F11: a >= 0 iff b >= 0 for each pair (a, b) of terms
-    return all((a >= 0) == (b >= 0) for a, b in zip(t[::2], t[1::2])), None
+    return all((a >= 0) == (b >= 0) for a, b in zip(t[::2], t[1::2])), []
 
 
-def _positive(t, _d):  # F5: v > 0, margin v/w
-    return t[0] > 0, t
-
-
-def _both(t, _d):  # F7: v1 >= 0 and v2 >= 0, margin the lesser of v1/w1 and v2/w2
-    v1, w1, v2, w2 = t
-    return v1 >= 0 and v2 >= 0, t[:2] if v1 * w2 <= v2 * w1 else t[2:]
+def _least(*strict):  # F3, F4, F5, F7, F8, F9: for each pair (v, w) of terms
+    # v > 0, or v >= 0 where its flag is False, and each v/w is a margin
+    return lambda t, _d: (all(v > 0 if s else v >= 0 for s, v in zip(strict, t[::2])),
+                          list(zip(t[::2], t[1::2])))
 
 
 @dataclass(frozen=True)
 class _Fact:
-    check: IntervalCheck
+    terms: Callable  # (n, d) -> the fact's terms
+    rule: Callable  # (terms, d) -> (verdict, margins)
     lo: Fraction
     hi: Fraction
     open_lo: bool
     open_hi: bool
     description: str
-    terms: Optional[Callable] = None  # a threshold fact's terms, which `check` reads
-
-
-def _decided(terms, rule, *interval_and_description) -> _Fact:
-    return _Fact(lambda n, d: rule(terms(n, d), d), *interval_and_description, terms)
 
 
 _CATALOG: dict[str, _Fact] = {
-    "F1": _decided(_f1, _implies(1000), Fraction(0), Fraction(1, 2), True, False,
-                   "in-degree premise forces beta > 0.219"),
-    "F2": _decided(_f2, _implies(1000), Fraction(0), Fraction(223, 1000), True, False,
-                   "delta3 comparison forces beta < 0.223"),
-    "F3": _Fact(_f3, Fraction(219, 1000), Fraction(223, 1000), True, True,
+    "F1": _Fact(_f1, _implies(1000), Fraction(0), Fraction(1, 2), True, False,
+                "in-degree premise forces beta > 0.219"),
+    "F2": _Fact(_f2, _implies(1000), Fraction(0), Fraction(223, 1000), True, False,
+                "delta3 comparison forces beta < 0.223"),
+    "F3": _Fact(_f3, _least(False), Fraction(219, 1000), Fraction(223, 1000), True, True,
                 "second lower bound dominates on (0.219, 0.223)"),
-    "F4": _Fact(_f4, Fraction(0), Fraction(0), False, False,
+    "F4": _Fact(_f4, _least(True), Fraction(0), Fraction(0), False, False,
                 "1/(1+delta3) < 0.258"),
-    "F5": _decided(_f5, _positive, Fraction(0), Fraction(1, 5), True, False,
-                   "1 - beta*delta4 exceeds the rational bound on (0, 1/5]"),
-    "F6": _decided(_f6, _implies(100), Fraction(0), Fraction(1, 5), True, False,
-                   "edge-count premise forces beta < 0.19"),
-    "F7": _decided(_f7, _both, Fraction(17, 100), Fraction(19, 100), True, True,
-                   "y >= 0.32 and z >= 0.38 on (0.17, 0.19)"),
-    "F8": _Fact(_f8, Fraction(17, 100), Fraction(19, 100), True, True,
+    "F5": _Fact(_f5, _least(True), Fraction(0), Fraction(1, 5), True, False,
+                "1 - beta*delta4 exceeds the rational bound on (0, 1/5]"),
+    "F6": _Fact(_f6, _implies(100), Fraction(0), Fraction(1, 5), True, False,
+                "edge-count premise forces beta < 0.19"),
+    "F7": _Fact(_f7, _least(False, False), Fraction(17, 100), Fraction(19, 100), True, True,
+                "y >= 0.32 and z >= 0.38 on (0.17, 0.19)"),
+    "F8": _Fact(_f8, _least(True, True), Fraction(17, 100), Fraction(19, 100), True, True,
                 "final girth-8 display exceeds 1 throughout (0.17, 0.19)"),
-    "F9": _Fact(_f9, Fraction(0), Fraction(0), False, False,
+    "F9": _Fact(_f9, _least(False, True), Fraction(0), Fraction(0), False, False,
                 "girth-12 chain: 0.2667 in-degree and 0.2667 > 1 - delta/7"),
-    "F10": _decided(_f10, _iff, Fraction(0), Fraction(1), False, False,
-                    "|X| counting step as a biconditional in |X|/|B|"),
-    "F11": _decided(_f11, _iff, Fraction(0), Fraction(1, 2), True, False,
-                    "0.36 + 2b + (6b-0.64)/5 <= 1 iff b <= 0.24"),
+    "F10": _Fact(_f10, _iff, Fraction(0), Fraction(1), False, False,
+                 "|X| counting step as a biconditional in |X|/|B|"),
+    "F11": _Fact(_f11, _iff, Fraction(0), Fraction(1, 2), True, False,
+                 "0.36 + 2b + (6b-0.64)/5 <= 1 iff b <= 0.24"),
 }
+
+
+def _flips(coeffs: list[int], points: range) -> set[int]:
+    """The first index of `points` and each index where v >= 0 or v >= 1
+    flips, for v(m) = the sum of coeffs[k] * C(m - points.start, k).  Between
+    the flips of its forward difference, whose coefficients are coeffs[1:], v
+    is monotone, so there each flips at most once, and bisection finds where."""
+    if len(coeffs) < 2:
+        return set(points[:1])
+    cuts = sorted(_flips(coeffs[1:], points)) + [points.stop]
+
+    def v(m):
+        return sum(c * math.comb(m - points.start, k) for k, c in enumerate(coeffs))
+
+    starts = set(cuts[:-1])
+    for piece in map(range, cuts, cuts[1:]):
+        for least in (0, 1):
+            first = v(piece[0]) >= least
+            if (v(piece[-1]) >= least) != first:
+                starts.add(piece[bisect.bisect_left(
+                    piece, True, key=lambda m: (v(m) >= least) != first)])
+    return starts
 
 
 def _run_ends(terms: Callable, p: int, q: int, points: range) -> list[int]:
     """The first and last index of each run of `points` on which no term at
-    (m*p, q) changes sign.  A term v has degree <= 2 in m, so on either side
-    of its vertex v >= 0 and v >= 1 (v > 0) each flip at most once, and
-    bisection finds where."""
-    start, stop = points.start, points.stop
+    (m*p, q), in forward-difference form from its first _CAP + 2 values, changes sign."""
     starts = set()
-    for i, (h0, h1, h2, h3) in enumerate(zip(*(terms(m * p, q) for m in range(4)))):
-        assert h3 - 3 * h2 + 3 * h1 - h0 == 0, "a term above degree 2 in n"
-        a2 = h2 - 2 * h1 + h0  # the vertex is at (3*h0 - 4*h1 + h2)/(2*a2)
-        cut = (3 * h0 - 4 * h1 + h2) // (2 * a2) + 1 if a2 else start
-        cut = min(max(cut, start), stop)  # the first index past the vertex
-        for piece in (range(start, cut), range(cut, stop)):
-            starts.update(piece[:1])
-            for least in (0, 1) if piece else ():
-                first = terms(piece[0] * p, q)[i] >= least
-                k = bisect.bisect_left(  # the first index where v >= least flips
-                    piece, True, key=lambda m: (terms(m * p, q)[i] >= least) != first)
-                starts.update(piece[k:k + 1])
+    for values in zip(*(terms(m * p, q) for m in range(points.start, points.start + _CAP + 2))):
+        coeffs = []
+        while values:
+            coeffs.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert coeffs[-1] == 0, f"a term above degree {_CAP} in n"
+        starts |= _flips(coeffs, points)
     starts = sorted(starts)
-    return [m for a, b in zip(starts, starts[1:] + [stop]) for m in (a, b - 1)]
+    return [m for a, b in zip(starts, starts[1:] + [points.stop]) for m in (a, b - 1)]
 
 
 def fact_scan(fact_id: str, step: Fraction = Fraction(1, 100000)) -> FactReport:
     """Decide a catalogued fact at every grid point m*step of its interval.
 
-    With step = p/q the check sees the point as (m*p, q); margins are
+    With step = p/q the terms see the point as (m*p, q); margins are
     compared by cross-multiplication, and only the reported first violation
-    and least margin become Fractions.  A threshold fact is checked only at
-    the two ends of each run of `_run_ends`: on a run its verdict is constant
-    and its linear or concave margin is least at an end, so each point is decided."""
+    and least margin become Fractions.  The rule is read only at the two ends
+    of each run of `_run_ends`: on a run its verdict is constant and its
+    margins are least at an end, so each point is decided."""
     fact = _CATALOG.get(fact_id)
     if fact is None:
         raise UnknownFact(f"no fact {fact_id!r} (known: {list(_CATALOG)})")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     p, q = step.numerator, step.denominator
-    check = fact.check
     points = _grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
     first_violation = low = None
-    for m in points if fact.terms is None else _run_ends(fact.terms, p, q, points):
-        ok, margin = check(m * p, q)
+    for m in _run_ends(fact.terms, p, q, points):
+        ok, margins = fact.rule(fact.terms(m * p, q), q)
         if not ok and first_violation is None:
             first_violation = Fraction(m * p, q)
-        if margin is not None and (
-                low is None or margin[0] * low[1] < low[0] * margin[1]):
-            low = margin
+        for margin in margins:
+            if low is None or margin[0] * low[1] < low[0] * margin[1]:
+                low = margin
     return FactReport(fact_id, fact.description, first_violation is None,
                       first_violation, None if low is None else Fraction(*low),
                       step, len(points))
@@ -680,17 +687,10 @@ def all_fact_ids() -> list[str]:
 
 
 def f1_root_bracket() -> tuple[Fraction, Fraction]:
-    """Bisection bracket, of width at most 1/10^9, for the root of
-    (3b - 1/2)(1-b) = (1-2b)b near 0.219."""
-    def h(b: Fraction) -> Fraction:
-        return (3 * b - Fraction(1, 2)) * (1 - b) - (1 - 2 * b) * b
-
-    lo, hi = Fraction(21, 100), Fraction(23, 100)
-    assert h(lo) < 0 < h(hi)
-    while hi - lo > Fraction(1, 10 ** 9):
-        mid = (lo + hi) / 2
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    """The grid points of step 1/10^9 on either side of the irrational root of
+    (3b - 1/2)(1-b) = (1-2b)b near 0.219, at which F1's premise term splits the
+    grid over [0.21, 0.23) into exactly two runs."""
+    q = 10 ** 9
+    _, lo, hi, _ = _run_ends(lambda n, d: _f1(n, d)[:1], 1, q,
+                             range(21 * q // 100, 23 * q // 100))
+    return Fraction(lo, q), Fraction(hi, q)

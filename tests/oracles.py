@@ -480,9 +480,9 @@ def reference_scan(fact_id: str, step: Fraction) -> FactReport:
 # The per-point integer fact scan
 # ---------------------------------------------------------------------------
 
-# The integer checks of F1, F2, F5, F6, F7, F10 and F11 as they were before
-# the library decided them from their sign changes, with the constant that
-# a planted violation moves as a keyword.
+# The integer checks of the facts as they were before the library decided
+# them from their sign changes, with the constant that a planted violation
+# moves as a keyword.
 
 def int_f1(n, d, cut=219):
     # (3b - 1/2)(1 - b) >= (1 - 2b)b times 2d^2 > 0
@@ -496,6 +496,18 @@ def int_f2(n, d, cut=223):
     if 2886 * n * (d - 2 * n) <= d * (1000 * d - 2886 * n):
         return 1000 * n < cut * d, (cut * d - 1000 * n, 1000 * d)
     return True, None
+
+
+def int_f3(n, d, coef=2000):
+    # (1 - 2b)b/(3b - 1/2) - (1 - b*delta3)/(1 - 2b) over 1000d(6n - d)(d - 2n),
+    # which is > 0 as 1/6 < b < 1/2
+    num = coef * n * (d - 2 * n) ** 2 - d * (6 * n - d) * (1000 * d - 2886 * n)
+    return num >= 0, (num, 1000 * d * (6 * n - d) * (d - 2 * n))
+
+
+def int_f4(_n, _d):
+    m = Fraction(258, 1000) - 1 / (1 + Fraction(2886, 1000))
+    return m > 0, (m.numerator, m.denominator)
 
 
 def int_f5(n, d, delta4=36814):
@@ -520,6 +532,23 @@ def int_f7(n, d, y=32):
     return m1[0] >= 0 and m2[0] >= 0, low
 
 
+def int_f8(n, d, coef=25):
+    # the final display of the girth-8 argument minus 1, at the worse of the
+    # two ends w of alpha, over 25dnq^2 > 0
+    p = 44814 * n - 5000 * d
+    q = 44814 * n - 3200 * d
+    num = min(w * p * (n * q - 18 * w * d) for w in (21 * d - 100 * n, 31 * d))
+    num += n * q * q * (coef * n - 6 * d)
+    return num > 0, (num, 25 * d * n * q * q)
+
+
+def int_f9(_n, _d):
+    m1 = Fraction(5219, 49000) - Fraction(2667, 10000) * Fraction(3993, 10000)
+    m2 = Fraction(2667, 10000) - (1 - Fraction(5219, 7000))
+    m = min(m1, m2)
+    return m1 >= 0 and m2 > 0, (m.numerator, m.denominator)
+
+
 _INT_F10_RATIOS = ((1, 2), (3, 4), (2886, 3000), (224465, 224539))
 
 
@@ -537,18 +566,19 @@ def int_f11(n, d, cut=24):
     return (1600 * n + 116 * d <= 500 * d) == (100 * n <= cut * d), None
 
 
-INT_FACTS = {"F1": int_f1, "F2": int_f2, "F5": int_f5, "F6": int_f6, "F7": int_f7,
-             "F10": int_f10, "F11": int_f11}
+INT_FACTS = {"F1": int_f1, "F2": int_f2, "F3": int_f3, "F4": int_f4, "F5": int_f5,
+             "F6": int_f6, "F7": int_f7, "F8": int_f8, "F9": int_f9, "F10": int_f10,
+             "F11": int_f11}
 
 
 def point_scan(fact_id: str, step: Fraction, check=None) -> FactReport:
-    """`lemmas.fact_scan` as it was before it decided the threshold facts
-    from their sign changes: `check` (by default the fact's former integer
-    check, or the library's for the other facts) called at every point of
-    the grid over the interval that `lemmas._CATALOG` gives the fact."""
+    """`lemmas.fact_scan` as it was before it decided the facts from their
+    sign changes: `check` (by default the fact's former integer check) called
+    at every point of the grid over the interval that `lemmas._CATALOG` gives
+    the fact."""
     fact = lemmas._CATALOG[fact_id]
     p, q = step.numerator, step.denominator
-    check = check or INT_FACTS.get(fact_id, fact.check)
+    check = check or INT_FACTS[fact_id]
     points = lemmas._grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
     first_violation = low = None
     for m in points:

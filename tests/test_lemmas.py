@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -467,34 +468,45 @@ def _f10_conclusion_times(two):
         cd * (2 * d - n) - 2 * d * cn, two * d * (cd - cn) - n * cd))
 
 
-# a planted violation of each threshold fact: its terms with one constant
-# moved, the library's rule for them, and the former check with that move.
-# F5's delta4 = 3.6814 becomes 3.7814, which fails near b = 1/5; F7's 0.32
-# becomes 0.33, which fails near b = 0.17
+def _f8_tail_times(c):
+    # F8's terms with the 25 of its tail n*q^2*(25n - 6d) replaced
+    def terms(n, d):
+        extra = (c - 25) * n * n * (44814 * n - 3200 * d) ** 2
+        return tuple(t + extra * (i % 2 == 0) for i, t in enumerate(lemmas._f8(n, d)))
+    return terms
+
+
+# a planted violation of each fact with an interval: its terms with one
+# constant moved, and the former check with that move.  F3's 2000 becomes
+# 1750, which fails from b = 0.22254 at step 1/100000; F5's delta4 = 3.6814
+# becomes 3.7814, which fails near b = 1/5; F7's 0.32 becomes 0.33, which
+# fails near b = 0.17; F8's 25n - 6d becomes 24n - 6d, which fails from
+# b = 0.18417
 PLANTED = {
-    "F1": (lambda n, d: (lemmas._f1(n, d)[0], 1000 * n - 220 * d), lemmas._implies(1000),
+    "F1": (lambda n, d: (lemmas._f1(n, d)[0], 1000 * n - 220 * d),
            functools.partial(oracles.int_f1, cut=220)),
-    "F2": (lambda n, d: (lemmas._f2(n, d)[0], 222 * d - 1000 * n), lemmas._implies(1000),
+    "F2": (lambda n, d: (lemmas._f2(n, d)[0], 222 * d - 1000 * n),
            functools.partial(oracles.int_f2, cut=222)),
+    "F3": (lambda n, d: (lemmas._f3(n, d)[0] - 250 * n * (d - 2 * n) ** 2, lemmas._f3(n, d)[1]),
+           functools.partial(oracles.int_f3, coef=1750)),
     "F5": (lambda n, d: (lemmas._f5(n, d)[0] - 1000 * n * (3 * d + 5 * n), lemmas._f5(n, d)[1]),
-           lemmas._positive, functools.partial(oracles.int_f5, delta4=37814)),
-    "F6": (lambda n, d: (lemmas._f6(n, d)[0], 18 * d - 100 * n), lemmas._implies(100),
+           functools.partial(oracles.int_f5, delta4=37814)),
+    "F6": (lambda n, d: (lemmas._f6(n, d)[0], 18 * d - 100 * n),
            functools.partial(oracles.int_f6, cut=18)),
     "F7": (lambda n, d: (lemmas._f7(n, d)[0] - d * (3 * d + 5 * n), *lemmas._f7(n, d)[1:]),
-           lemmas._both, functools.partial(oracles.int_f7, y=33)),
-    "F10": (_f10_conclusion_times(3), lemmas._iff, functools.partial(oracles.int_f10, two=3)),
-    "F11": (lambda n, d: (lemmas._f11(n, d)[0], 23 * d - 100 * n), lemmas._iff,
+           functools.partial(oracles.int_f7, y=33)),
+    "F8": (_f8_tail_times(24), functools.partial(oracles.int_f8, coef=24)),
+    "F10": (_f10_conclusion_times(3), functools.partial(oracles.int_f10, two=3)),
+    "F11": (lambda n, d: (lemmas._f11(n, d)[0], 23 * d - 100 * n),
             functools.partial(oracles.int_f11, cut=23)),
 }
 
 
 @pytest.mark.parametrize("step", STEPS[:4], ids=str)
-@pytest.mark.parametrize("fid", THRESHOLD_FACTS)
+@pytest.mark.parametrize("fid", PLANTED)
 def test_planted_violation_matches_point_scan(monkeypatch, fid, step):
-    terms, rule, former = PLANTED[fid]
-    fact = lemmas._CATALOG[fid]
-    planted = lemmas._decided(terms, rule, fact.lo, fact.hi, fact.open_lo,
-                              fact.open_hi, fact.description)
+    terms, former = PLANTED[fid]
+    planted = dataclasses.replace(lemmas._CATALOG[fid], terms=terms)
     monkeypatch.setitem(lemmas._CATALOG, fid, planted)
     rep = fact_scan(fid, step)
     assert rep.holds_everywhere is False
@@ -502,14 +514,18 @@ def test_planted_violation_matches_point_scan(monkeypatch, fid, step):
 
 
 def test_runs_tile_the_grid_and_keep_every_sign():
-    # random quadratic terms in (n, d), often zero at a grid point, on grids
-    # that straddle their vertices
+    # random terms in (n, d) of every degree up to the cap, products of small
+    # linear factors and so often zero at a grid point, on grids that
+    # straddle their turning points
     rng = random.Random(17)
     for _ in range(400):
-        coeffs = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(rng.randint(1, 3))]
+        factors = [[(rng.randint(-4, 4), rng.randint(-9, 9)) for _ in range(rng.randint(0, 4))]
+                   for _ in range(rng.randint(1, 3))]
+        scales = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in factors]
 
         def terms(n, d):
-            return tuple(a * n * n + b * n * d + c * d * d for a, b, c in coeffs)
+            return tuple(s * math.prod(a * n + b * d for a, b in f)
+                         for s, f in zip(scales, factors))
 
         def signs(m):
             return [(v > 0) - (v < 0) for v in terms(m * p, q)]
@@ -523,22 +539,23 @@ def test_runs_tile_the_grid_and_keep_every_sign():
         assert ends[0] == points.start and ends[-1] == points[-1]
         assert ends[2::2] == [b + 1 for b in ends[1:-1:2]]
         for a, b in zip(ends[::2], ends[1::2]):
-            assert all(signs(m) == signs(a) for m in range(a, b + 1)), (coeffs, p, q, a, b)
+            assert all(signs(m) == signs(a) for m in range(a, b + 1)), (factors, p, q, a, b)
 
 
-def test_run_ends_rejects_a_cubic_term():
-    with pytest.raises(AssertionError, match="above degree 2"):
-        lemmas._run_ends(lambda n, d: (n ** 3 - d ** 3,), 1, 1, range(10))
+def test_run_ends_rejects_a_term_above_the_cap():
+    lemmas._run_ends(lambda n, d: (n ** 4 - d ** 4,), 1, 1, range(10))
+    with pytest.raises(AssertionError, match="above degree 4"):
+        lemmas._run_ends(lambda n, d: (n ** 5 - d ** 5,), 1, 1, range(10))
 
 
-# the grid points of each threshold fact at the default step 1/100000
-GRID_POINTS = {"F1": 50000, "F2": 22300, "F5": 20000, "F6": 20000, "F7": 1999,
-               "F10": 100001, "F11": 50000}
+# the grid points of each fact with an interval at the default step 1/100000
+GRID_POINTS = {"F1": 50000, "F2": 22300, "F3": 399, "F5": 20000, "F6": 20000,
+               "F7": 1999, "F8": 1999, "F10": 100001, "F11": 50000}
 
 
-@pytest.mark.parametrize("fid", THRESHOLD_FACTS)
+@pytest.mark.parametrize("fid", GRID_POINTS)
 def test_threshold_fact_reads_few_points(monkeypatch, fid):
-    # a threshold fact is decided from its sign changes, not point by point
+    # a fact is decided from its sign changes, not point by point
     fact = lemmas._CATALOG[fid]
     reads = []
     monkeypatch.setitem(lemmas._CATALOG, fid, dataclasses.replace(
@@ -546,18 +563,30 @@ def test_threshold_fact_reads_few_points(monkeypatch, fid):
     assert fact_scan(fid).points_checked == GRID_POINTS[fid] and len(reads) < 500
 
 
-@pytest.mark.parametrize("fid", ["F5", "F7"])
-def test_margins_are_concave(fid):
-    # the scan reads F5's and F7's margins only at the ends of each run of
-    # constant signs, which is exact because each margin v/w is concave:
-    # its exact second differences at step 1/1000 are <= 0
+def _margins(fid, step=F(1, 1000)):
     fact = lemmas._CATALOG[fid]
-    grid = lemmas._grid(fact.lo, fact.hi, F(1, 1000), fact.open_lo, fact.open_hi)
-    margins = [[F(v, w) for v, w in zip(t[::2], t[1::2])]
-               for t in (fact.terms(m, 1000) for m in grid)]
+    grid = lemmas._grid(fact.lo, fact.hi, step, fact.open_lo, fact.open_hi)
+    return [[F(v, w) for v, w in zip(t[::2], t[1::2])]
+            for t in (fact.terms(m * step.numerator, step.denominator) for m in grid)]
+
+
+@pytest.mark.parametrize("fid", ["F5", "F7", "F8"])
+def test_margins_are_concave(fid):
+    # the scan reads F5's, F7's and F8's margins only at the ends of each run
+    # of constant signs, which is exact because each margin v/w is concave:
+    # its exact second differences at step 1/1000 are <= 0
+    margins = _margins(fid)
     assert len(margins) >= 19
     for u, v, w in zip(margins, margins[1:], margins[2:]):
         assert all(a - 2 * b + c <= 0 for a, b, c in zip(u, v, w)), (fid, u)
+
+
+def test_f3_margin_falls():
+    # F3's margin is least at the right end of each run because it falls:
+    # its exact first differences at step 1/10000 are < 0
+    margins = _margins("F3", F(1, 10000))
+    assert len(margins) == 39
+    assert all(b[0] < a[0] for a, b in zip(margins, margins[1:]))
 
 
 def test_f10_premise_and_conclusion_are_one_polynomial():
@@ -622,10 +651,8 @@ def test_integer_check_matches_fraction_statement(fid):
             pairs.append((n, d))
             drawn += 1
     for n, d in pairs:
-        ok, margin = fact.check(n, d)
+        ok, margins = fact.rule(fact.terms(n, d), d)
         ref_ok, ref_margin = reference(F(n, d))
         assert ok == ref_ok, (fid, n, d)
-        if ref_margin is None:
-            assert margin is None, (fid, n, d)
-        else:
-            assert margin[1] > 0 and F(*margin) == ref_margin, (fid, n, d)
+        assert all(w > 0 for _, w in margins), (fid, n, d)
+        assert min((F(*m) for m in margins), default=None) == ref_margin, (fid, n, d)
