@@ -16,7 +16,6 @@ from .digraph import (
     Side,
     VertexRef,
     _layers,
-    _unified,
     compliance_profile,
     forward_layers,
     girth,
@@ -55,16 +54,16 @@ def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
     or the star union below it is very large (side-appropriate thresholds)."""
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon {horizon} is below 1")
+    if delta not in {e.delta for e in delta_table(k)}:
+        raise PreconditionViolated(f"delta={delta} is not a table entry at k={k}")
+    if horizon is None:
+        horizon = 2 * k + 2
+    layers = forward_layers(g, v, horizon)  # rejects a bad v before the girth BFS
     if not is_compliant(g, alpha, beta):
         raise PreconditionViolated("digraph is not (alpha,beta)-compliant")
     gr = girth(g)
     if gr is not None and gr.length <= 2 * k:
         raise PreconditionViolated(f"girth {gr.length} is not more than 2k={2 * k}")
-    if delta not in {e.delta for e in delta_table(k)}:
-        raise PreconditionViolated(f"delta={delta} is not a table entry at k={k}")
-    if horizon is None:
-        horizon = 2 * k + 2
-    layers = forward_layers(g, v, horizon)
     entries = []
     for i in range(1, horizon + 1):
         layer = layers[i]
@@ -98,7 +97,7 @@ def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> Audi
     best_v = None
     entries = []
     # the backward layers as masks: one reversed adjacency, no vertex sets
-    _, radj, _ = _unified(g.reverse())
+    radj = g.reverse().out
     for j in range(g.b_size):
         v = VertexRef(Side.B, j)
         masks = _layers(radj, g.a_size + j, 3)

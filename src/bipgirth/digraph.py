@@ -4,8 +4,9 @@ Bipartite digraphs are stored as bit-packed out-adjacency: each A-vertex
 holds an integer bitmask over B, each B-vertex a bitmask over A.  Girth
 witnesses, distance layers and distance powers all read one routine's
 exact-distance layers (`_layers`) over one numbering, A-vertices first
-(`_unified`).  All degree comparisons are done with exact rationals;
-nothing here rounds.
+(`_unified`).  `_bits` yields ascending and must keep doing so: the girth
+start and witness cycle reported depend on that order.  All degree
+comparisons are done with exact rationals; nothing here rounds.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def B(i: int) -> VertexRef:
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending: the girth start and witness need it."""
     while mask:
         lsb = mask & -mask
         yield lsb.bit_length() - 1
@@ -69,12 +71,14 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _expand(rows, mask: int) -> int:
-    """OR of rows[i] over the set bits i of mask: one frontier step."""
+    """OR of rows[i] over the set bits i of mask: one frontier step.  The OR is
+    order-free, so this loop (like `_transpose` and `_trim`) takes the top bit:
+    one big-int operation fewer per bit, and a shorter mask each step."""
     out = 0
     while mask:
-        lsb = mask & -mask
-        out |= rows[lsb.bit_length() - 1]
-        mask ^= lsb
+        i = mask.bit_length() - 1
+        out |= rows[i]
+        mask ^= 1 << i
     return out
 
 
@@ -117,6 +121,10 @@ class BipartiteDigraph:
     def b_in(self) -> tuple[int, ...]:
         return _transpose(self.a_out, self.b_size)
 
+    @cached_property
+    def out(self) -> tuple[int, ...]:  # per vertex, A first: bitmask over all vertices
+        return tuple(m << self.a_size for m in self.a_out) + self.b_out
+
     def reverse(self) -> "BipartiteDigraph":
         return BipartiteDigraph(self.a_size, self.b_size, self.a_in, self.b_in)
 
@@ -150,9 +158,9 @@ def _transpose(rows: tuple[int, ...], n_cols_out: int) -> tuple[int, ...]:
     for r, m in enumerate(rows):
         bit = 1 << r
         while m:
-            lsb = m & -m
-            cols[lsb.bit_length() - 1] |= bit
-            m ^= lsb
+            i = m.bit_length() - 1
+            cols[i] |= bit
+            m ^= 1 << i
     return tuple(cols)
 
 
@@ -199,15 +207,13 @@ class Girth(NamedTuple):
     cycle: tuple  # vertex sequence (VertexRef or int), length == cycle length
 
 
-def _unified(g: AnyDigraph) -> tuple[int, list[int], range]:
-    """A single 0..n-1 numbering with bitmask adjacency (A first for
+def _unified(g: AnyDigraph) -> tuple[int, tuple[int, ...], range]:
+    """A single 0..n-1 numbering with bitmask adjacency (`out`, A first for
     bipartite), and vertices that meet every cycle: all, or the smaller side."""
     if isinstance(g, GeneralDigraph):
-        return g.n, list(g.out), range(g.n)
+        return g.n, g.out, range(g.n)
     a, n = g.a_size, g.a_size + g.b_size
-    adj = [m << a for m in g.a_out]
-    adj.extend(g.b_out)
-    return n, adj, range(a) if a <= g.b_size else range(a, n)
+    return n, g.out, range(a) if a <= g.b_size else range(a, n)
 
 
 def _label(g: AnyDigraph, v: int):
@@ -216,11 +222,14 @@ def _label(g: AnyDigraph, v: int):
     return A(v) if v < g.a_size else B(v - g.a_size)
 
 
-def _trim(adj: list[int], radj: tuple[int, ...], dead: int, dying: list[int]) -> int:
+def _trim(adj: tuple[int, ...], radj: tuple[int, ...], dead: int, dying: list[int]) -> int:
     """`dead` after the cascade from the dead vertices in `dying`: each live
     in-neighbour left with no live out-neighbour dies too."""
     while dying:
-        for u in _bits(radj[dying.pop()] & ~dead):
+        m = radj[dying.pop()] & ~dead
+        while m:
+            u = m.bit_length() - 1
+            m ^= 1 << u
             if not adj[u] & ~dead:
                 dead |= 1 << u
                 dying.append(u)
@@ -302,7 +311,7 @@ def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
     return best
 
 
-def _layers(adj: list[int], v: int, depth: int) -> list[int]:
+def _layers(adj: tuple[int, ...], v: int, depth: int) -> list[int]:
     """The exact-distance layer masks 0..depth out of v over bitmask rows."""
     layers = [1 << v]
     seen = layers[0]
@@ -313,7 +322,7 @@ def _layers(adj: list[int], v: int, depth: int) -> list[int]:
     return layers
 
 
-def _cycle_through(adj: list[int], v: int, length: int) -> list[int]:
+def _cycle_through(adj: tuple[int, ...], v: int, length: int) -> list[int]:
     """One cycle of the given length through v, when no shorter one passes
     through v, read back from the exact-distance layers out of v."""
     layers = _layers(adj, v, length - 1)
@@ -333,8 +342,7 @@ def girth(g: AnyDigraph) -> Optional[Girth]:
     if found is None:
         return None
     length, start = found
-    _, adj, _ = _unified(g)
-    cycle = _cycle_through(adj, start, length)
+    cycle = _cycle_through(g.out, start, length)
     return Girth(length, tuple(_label(g, u) for u in cycle))
 
 
@@ -353,8 +361,7 @@ def forward_layers(g: BipartiteDigraph, v: VertexRef,
         raise IndexOutOfRange(f"{v} out of range for side size {size}")
     a = g.a_size
     a_mask = (1 << a) - 1
-    _, adj, _ = _unified(g)
-    masks = _layers(adj, v.index if v.side is Side.A else a + v.index, max_i)
+    masks = _layers(g.out, v.index if v.side is Side.A else a + v.index, max_i)
     return tuple(frozenset([*(VertexRef(Side.A, i) for i in _bits(m & a_mask)),
                             *(VertexRef(Side.B, j) for j in _bits(m >> a))])
                  for m in masks)
@@ -407,7 +414,6 @@ def distance_power(g: BipartiteDigraph, d: int) -> BipartiteDigraph:
     if d % 2 == 0:
         raise EvenDistance(f"d={d} must be odd")
     a = g.a_size
-    _, adj, _ = _unified(g)
     # the odd layers out of a B-vertex lie in A and are disjoint: their sum is their union
-    b_out = tuple(sum(_layers(adj, a + j, d)[1::2]) for j in range(g.b_size))
+    b_out = tuple(sum(_layers(g.out, a + j, d)[1::2]) for j in range(g.b_size))
     return BipartiteDigraph(a, g.b_size, g.a_out, b_out)

@@ -73,15 +73,18 @@ def _read(kind: str, sizes: list[int], body: str) -> AnyDigraph | None:
     spans = {"A": (0, n), "B": (n, sizes[-1])}  # side: first row, size
     tokens = body.split()
     row, bit = {}, {}
-    # in order of first use, so a label too long for int() raises where the reader's would
-    for label in dict.fromkeys(tokens):
-        first, size = spans.get(label[0], (0, n))  # (0, n) for a digraph's labels
-        i = int(label.lstrip("AB"))
-        if i >= size:
-            return None
-        row[label], bit[label] = first + i, 1 << i
     for t, h in zip(*[iter(tokens)] * 2):
-        rows[row[t]] |= bit[h]
+        try:
+            rows[row[t]] |= bit[h]
+        except KeyError:  # labels enter on first use, tail before head: checked in token order
+            for label in (t, h):
+                if label not in row:
+                    first, size = spans.get(label[0], (0, n))  # (0, n) for a digraph's labels
+                    i = int(label.lstrip("AB"))
+                    if i >= size:
+                        return None
+                    row[label], bit[label] = first + i, 1 << i
+            rows[row[t]] |= bit[h]
     return (GeneralDigraph(n, tuple(rows)) if kind == "digraph"
             else BipartiteDigraph(n, sizes[1], tuple(rows[:n]), tuple(rows[n:])))
 

@@ -158,7 +158,7 @@ def _canonical(g: BipartiteDigraph) -> tuple[bytes, int]:
     a = g.a_size
     n, fwd, _ = _unified(g)
     out = [list(_bits(m)) for m in fwd]
-    inn = [list(_bits(m)) for m in _unified(g.reverse())[1]]
+    inn = [list(_bits(m)) for m in g.reverse().out]
     orbit = list(range(n))  # union-find over the automorphisms found so far
     first = best = None  # first: the code and vertex order of the first leaf
     count = 1

@@ -19,7 +19,9 @@ edge-list parser's reference is its former per-line loop, kept verbatim;
 so are the circulant's and the frontier classifier's `Fraction` rules
 with their loop over t, and the quadratic bound's `Fraction` kernel
 (eligibility, feasibility check, f, bound and minimiser) that the integer
-one replaced.
+one replaced.  The lowest-bit-first `_expand`, `_transpose` and `_trim`
+loops are the references for the top-bit loops that replaced them, kept
+verbatim.
 """
 
 from __future__ import annotations
@@ -122,6 +124,38 @@ def reference_shortest_cycle(g):
             visited |= nxt
         dead |= vbit
     return best
+
+
+def lowbit_expand(rows, mask: int) -> int:
+    """OR of rows[i] over the set bits i of mask: one frontier step."""
+    out = 0
+    while mask:
+        lsb = mask & -mask
+        out |= rows[lsb.bit_length() - 1]
+        mask ^= lsb
+    return out
+
+
+def lowbit_transpose(rows: tuple[int, ...], n_cols_out: int) -> tuple[int, ...]:
+    cols = [0] * n_cols_out
+    for r, m in enumerate(rows):
+        bit = 1 << r
+        while m:
+            lsb = m & -m
+            cols[lsb.bit_length() - 1] |= bit
+            m ^= lsb
+    return tuple(cols)
+
+
+def lowbit_trim(adj: list[int], radj: tuple[int, ...], dead: int, dying: list[int]) -> int:
+    """`dead` after the cascade from the dead vertices in `dying`: each live
+    in-neighbour left with no live out-neighbour dies too."""
+    while dying:
+        for u in _bits(radj[dying.pop()] & ~dead):
+            if not adj[u] & ~dead:
+                dead |= 1 << u
+                dying.append(u)
+    return dead
 
 
 @contextlib.contextmanager

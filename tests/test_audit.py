@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from bipgirth import audit
 from bipgirth.audit import AuditEntry, audit_bigindeg, audit_bigset
 from bipgirth.constructions import circulant
 from bipgirth.digraph import A, B, BipartiteDigraph, backward_layers
+from bipgirth.errors import IndexOutOfRange, PreconditionViolated
 
-from oracles import random_bipartite
+from oracles import count_calls, random_bipartite
 
 
 def test_bigset_rejects_empty_horizon():
@@ -16,6 +18,25 @@ def test_bigset_rejects_empty_horizon():
     assert audit_bigset(g, 2, third, third, Fraction(3, 2), A(0), horizon=1).passed
     with pytest.raises(ValueError):
         audit_bigset(g, 2, third, third, Fraction(3, 2), A(0), horizon=0)
+
+
+def test_bigset_checks_the_vertex_before_the_girth():
+    # the six-cycle's girth 6 is not above 2k = 6, and it has no vertex A9
+    third = Fraction(1, 3)
+    with pytest.raises(IndexOutOfRange, match="A9 out of range"):
+        audit_bigset(circulant(2, 1, 1), 3, third, third, Fraction(9, 4), A(9))
+
+
+def test_bigset_checks_delta_before_the_girth():
+    # 10 vertices a side, out-degree 2 and girth 8 > 2k at k = 3
+    g, fifth = circulant(3, 2, 2), Fraction(1, 5)
+    with count_calls(audit, "girth") as searches:
+        with pytest.raises(PreconditionViolated, match="not a table entry at k=3"):
+            audit_bigset(g, 3, fifth, fifth, Fraction(1, 7), A(0))
+    assert searches[0] == 0
+    with count_calls(audit, "girth") as searches:
+        assert audit_bigset(g, 3, fifth, fifth, Fraction(9, 4), A(0)).entries
+    assert searches[0] == 1
 
 
 def test_bigindeg_totals_are_backward_layer_sizes():

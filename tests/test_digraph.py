@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bipgirth.digraph import (
     A,
@@ -41,6 +41,9 @@ from bipgirth.io import parse_edge_list, to_dot, to_edge_list
 from oracles import (
     brute_girth,
     count_calls,
+    lowbit_expand,
+    lowbit_transpose,
+    lowbit_trim,
     naive_distance_power,
     naive_layers,
     random_bipartite,
@@ -319,16 +322,34 @@ class TestGirth:
             expect = reference_shortest_cycle(g)
             assert (found and found[0]) == (expect and expect[0])
 
-    @pytest.mark.parametrize("g, length, limit", [
-        (layered_cycle(60, 20), 122, 7_440),
-        (circulant(30, 10, 10), 62, 1_822),
+    @pytest.mark.parametrize("g, length, expands, trims", [
+        (layered_cycle(60, 20), 122, 2_520, 1),
+        (circulant(30, 10, 10), 62, 1_141, 9),
     ], ids=["layered_60_20", "circulant_30_10_10"])
-    def test_pruned_expansions(self, g, length, limit):
-        # a tenth of the 74,401 and 18,223 frontier expansions that one full
-        # BFS from every start does; a search that stops trimming exceeds it
-        with count_calls(digraph, "_expand") as expansions:
-            assert shortest_cycle_length(g)[0] == length
-        assert expansions[0] <= limit
+    def test_pruned_expansions(self, g, length, expands, trims):
+        # the exact work, out of the 74,401 and 18,223 frontier expansions that
+        # one full BFS from every start does, so that a change doing more or
+        # other work fails here, apart from one only doing the same work faster
+        with count_calls(digraph, "_expand") as expansions, \
+                count_calls(digraph, "_trim") as cascades:
+            assert shortest_cycle_length(g) == (length, 0)
+        assert (expansions[0], cascades[0]) == (expands, trims)
+
+    def test_pinned_witnesses_of_relabellings(self):
+        # the start and the cycle read back follow `_bits`' ascending order
+        rng = random.Random(29)
+        cycles = []
+        for g in (circulant(6, 3, 4), layered_cycle(8, 4), circulant(3, 2, 2)):
+            h = relabel(g, rng.sample(range(g.a_size), g.a_size),
+                        rng.sample(range(g.b_size), g.b_size))
+            gr = girth(h)
+            assert shortest_cycle_length(h) == (gr.length, 0)
+            cycles.append(" ".join(map(str, gr.cycle)))
+        assert cycles == [
+            "A0 B24 A11 B22 A6 B6 A19 B18 A23 B0 A4 B9 A5 B12",
+            "A0 B6 A1 B17 A3 B0 A16 B8 A2 B5 A5 B4 A10 B15 A4 B1 A8 B2",
+            "A0 B5 A1 B0 A4 B4 A2 B6",
+        ]
 
     def test_pinned_large_girths(self):
         assert girth(circulant(30, 10, 10)).length == 62
@@ -340,6 +361,68 @@ class TestGirth:
             gr = girth(random_bipartite(rng))
             if gr is not None:
                 assert gr.length % 2 == 0
+
+
+def square_rows(seed, width):
+    """width rows of up to three bits below width: deep trimming cascades."""
+    rng = random.Random(seed)
+    return [_row(rng, range(width), 3) for _ in range(width)]
+
+
+@st.composite
+def rows_and_mask(draw):
+    """Square rows of at most 130 or over 2,000 bits, and a mask over them:
+    empty, a lone top bit, or any."""
+    width = draw(st.one_of(st.integers(1, 130), st.integers(2_001, 2_100)))
+    rows = square_rows(draw(st.integers(0, 2**32)), width)
+    mask = draw(st.one_of(st.just(0), st.just(1 << width - 1),
+                          st.integers(0, (1 << width) - 1)))
+    return rows, mask
+
+
+class TestTopBitLoops:
+    """The top-bit `_expand`, `_transpose` and `_trim` against the
+    lowest-bit loops they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows_and_mask())
+    @example((square_rows(0, 2_048), 0))
+    @example((square_rows(1, 2_048), 1 << 2_047))
+    @example((square_rows(2, 2_048), (1 << 2_048) - 1))
+    def test_expand_and_transpose(self, case):
+        rows, mask = case
+        assert digraph._expand(rows, mask) == lowbit_expand(rows, mask)
+        assert digraph._transpose(rows, len(rows)) == lowbit_transpose(rows, len(rows))
+        picked = [m & mask for m in rows]
+        assert digraph._transpose(picked, len(rows)) == lowbit_transpose(picked, len(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows_and_mask())
+    @example(([0], 0))
+    @example((square_rows(3, 2_048), 1 << 2_047))
+    def test_trim(self, case):
+        # the rows are out-rows; the mask's vertices are dead, and are pushed
+        # in ascending order, as `shortest_cycle_length` pushes them
+        adj, dead = case
+        radj = lowbit_transpose(adj, len(adj))
+        dying = list(digraph._bits(dead))
+        assert digraph._trim(adj, radj, dead, list(dying)) == lowbit_trim(adj, radj, dead, dying)
+
+    def test_same_start_and_cycle_as_lowbit_loops(self, monkeypatch):
+        rng = random.Random(28)
+        graphs = [random_bipartite(rng) for _ in range(100)]
+        graphs += [random_general(rng) for _ in range(100)]
+        graphs += [sparse_bipartite(rng) for _ in range(100)]
+        for g in (circulant(6, 3, 4), layered_cycle(8, 4)):
+            graphs += [relabel(g, rng.sample(range(g.a_size), g.a_size),
+                               rng.sample(range(g.b_size), g.b_size)) for _ in range(10)]
+        with count_calls(digraph, "_trim") as cascades:
+            found = [(shortest_cycle_length(g), girth(g)) for g in graphs]
+        assert cascades[0] >= 100
+        monkeypatch.setattr(digraph, "_expand", lowbit_expand)
+        monkeypatch.setattr(digraph, "_transpose", lowbit_transpose)
+        monkeypatch.setattr(digraph, "_trim", lowbit_trim)
+        assert [(shortest_cycle_length(g), girth(g)) for g in graphs] == found
 
 
 class TestLayers:
