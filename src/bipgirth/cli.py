@@ -4,11 +4,19 @@ Exit codes: 0 completed, 1 usage or input error, 2 counterexample found
 (search) or fact violation (lemmas stress/scan).  Rationals on the
 command line are exact `p/q` strings; decimal input is rejected because
 the interesting boundaries are razor-thin.
+
+An option the chosen mode never reads is an error, checked in one place
+per mode: each `audit` kind's sub-parser declares only the options it
+reads, `_cmd_lemmas` and `_cmd_search` reject `--count` and `--seed`
+outside the mode that reads them, and `search.SearchConfig` rejects
+eulerian with the randomized mode.  `main` builds the parser once per
+process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -179,10 +187,12 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.mode != "random" and args.seed is not None:
+        raise ValueError("search without --mode random ignores --seed")
     mode = "randomized" if args.mode == "random" else args.mode
     cfg = search.SearchConfig(
         n_a=args.na, n_b=args.nb, k=args.k, alpha=args.alpha, beta=args.beta,
-        mode=mode, eulerian=bool(args.eulerian), seed=args.seed or 0,
+        mode=mode, eulerian=args.eulerian, seed=args.seed or 0,
         node_limit=args.node_limit)
     report = search.find_counterexample(cfg)
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -202,6 +212,9 @@ def _fact_entry(fact_id: str) -> dict:
 
 
 def _cmd_lemmas(args) -> int:
+    unread = [f"--{f}" for f in ("count", "seed") if getattr(args, f) is not None]
+    if not args.stress and unread:
+        raise ValueError(f"lemmas without --stress ignores {', '.join(unread)}")
     if args.stress:
         t0 = time.perf_counter()
         count = 1000 if args.count is None else args.count
@@ -240,6 +253,7 @@ def _cmd_audit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
     top = _Parser(prog="bipgirth",
                   description="bipartite digraph girth toolkit")
@@ -311,8 +325,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--nb", type=_natural, required=True)
     ps.add_argument("--alpha", type=parse_rational, required=True)
     ps.add_argument("--beta", type=parse_rational, required=True)
-    ps.add_argument("--eulerian", action="store_true", default=None,
-                    help="exhaustive mode only")
+    ps.add_argument("--eulerian", action="store_true", help="exhaustive mode only")
     ps.add_argument("--mode", choices=["exhaustive", "random"],
                     default="exhaustive")
     ps.add_argument("--seed", type=_natural, help="with --mode random (default 0)")
@@ -331,57 +344,27 @@ def build_parser() -> _Parser:
     pf.set_defaults(fn=_cmd_lemmas)
 
     pa = sub.add_parser("audit", help="replay a proved dichotomy on a digraph")
-    pa.add_argument("which", choices=["bigset", "bigindeg", "bells"])
-    pa.add_argument("file")
-    pa.add_argument("--k", type=_natural)
-    pa.add_argument("--alpha", type=parse_rational)
-    pa.add_argument("--beta", type=parse_rational)
-    pa.add_argument("--delta", type=parse_rational)
-    pa.add_argument("--vertex")
-    pa.add_argument("--horizon", type=_positive_int)
+    kinds = pa.add_subparsers(dest="which", required=True)
+    bigset, bigindeg, bells = (kinds.add_parser(n) for n in ("bigset", "bigindeg", "bells"))
+    for kp in (bigset, bigindeg, bells):
+        kp.add_argument("file")
+    bigset.add_argument("--k", type=_natural, required=True)
+    for kp in (bigset, bigindeg):
+        kp.add_argument("--alpha", type=parse_rational, required=True)
+        kp.add_argument("--beta", type=parse_rational, required=True)
+    bigset.add_argument("--delta", type=parse_rational, required=True)
+    bigset.add_argument("--vertex", required=True)
+    bigset.add_argument("--horizon", type=_positive_int)
     pa.set_defaults(fn=_cmd_audit)
 
     return top
 
 
-# the options each audit needs; bigset may also take --horizon
-_AUDIT_NEEDS = {"bigset": ("k", "alpha", "beta", "delta", "vertex"),
-                "bigindeg": ("alpha", "beta"), "bells": ()}
-
-
-def _mode_error(args) -> Optional[str]:
-    """A required option the mode lacks, or the options given that it never reads."""
-    if args.command == "audit":
-        needs = _AUDIT_NEEDS[args.which]
-        missing = [f for f in needs if getattr(args, f) is None]
-        if missing:
-            return f"audit {args.which} requires --{', --'.join(missing)}"
-        takes = needs + ("horizon",) if args.which == "bigset" else needs
-        where = f"audit {args.which}"
-        unread = [f for f in ("k", "alpha", "beta", "delta", "vertex", "horizon")
-                  if f not in takes]
-    elif args.command == "lemmas" and not args.stress:
-        where, unread = "lemmas without --stress", ["count", "seed"]
-    elif args.command == "search" and args.mode == "random":
-        where, unread = "search --mode random", ["eulerian"]
-    elif args.command == "search":
-        where, unread = "search without --mode random", ["seed"]
-    else:
-        return None
-    ignored = [f for f in unread if getattr(args, f) is not None]
-    return f"{where} ignores --{', --'.join(ignored)}" if ignored else None
-
-
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    error = _mode_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except (BipgirthError, OSError, ValueError) as exc:
@@ -390,6 +373,10 @@ def main(argv: Optional[list] = None) -> int:
     except MemoryError:
         # e.g. a header that declares 10^9 vertices: the rows are allocated up front
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the search recurses once per vertex of a side
+        print("error: recursion too deep for a side this large", file=sys.stderr)
         return 1
 
 

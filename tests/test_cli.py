@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipgirth
-from bipgirth.cli import main, parse_rational
+from bipgirth.cli import build_parser, main, parse_rational
 from bipgirth.constructions import circulant
 from bipgirth.io import to_edge_list
 
@@ -228,7 +228,9 @@ class TestAudit:
     def test_bigset_missing_flags(self, six_cycle_file, capsys):
         rc = main(["audit", "bigset", six_cycle_file])
         assert rc == 1
-        assert "requires" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: "
+            "--k, --alpha, --beta, --delta, --vertex\n")
 
     def test_bigindeg(self, six_cycle_file, capsys):
         rc = main(["audit", "bigindeg", six_cycle_file,
@@ -255,6 +257,54 @@ class TestUsageErrors:
 
     def test_missing_required(self, capsys):
         assert main(["classify", "--k", "2"]) == 1
+
+
+def _drop_times(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_times(v) for k, v in obj.items() if k != "wall_time_ms"}
+    if isinstance(obj, list):
+        return [_drop_times(v) for v in obj]
+    return obj
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may leave state
+    in it that changes the next call."""
+
+    SEARCH = ["search", "--k", "1", "--na", "3", "--nb", "3", "--alpha", "1/3",
+              "--beta", "1/3"]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_built_on_first_call_not_at_import(self):
+        code = ("import contextlib, io\n"
+                "from bipgirth import cli\n"
+                "at_import = cli.build_parser.cache_info().misses\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['lemmas', '--fact', 'F4'])\n"
+                "    cli.main(['classify', '--k', '2', '--alpha', '1/3', '--beta', '1/3'])\n"
+                "print(at_import, cli.build_parser.cache_info().misses)\n")
+        src = os.path.dirname(os.path.dirname(bipgirth.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout == "0 1\n", proc.stderr
+
+    @pytest.mark.parametrize("first, second", [
+        (SEARCH + ["--mode", "random", "--seed", "5", "--node-limit", "500"], SEARCH),
+        (["lemmas", "--stress", "newineq", "--count", "5"], ["lemmas", "--all"]),
+    ], ids=["search", "lemmas"])
+    def test_calls_in_sequence_match_calls_alone(self, first, second, capsys):
+        def run(argv):
+            rc = main(argv)
+            return rc, _drop_times(json.loads(capsys.readouterr().out))
+
+        alone = []
+        for argv in (first, second):
+            build_parser.cache_clear()
+            alone.append(run(argv))
+        build_parser.cache_clear()
+        assert [run(first), run(second)] == alone
 
 
 class TestMalformedInput:
@@ -295,6 +345,11 @@ class TestMalformedInput:
          "--in-offsets", "1"],
         ["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
          "--beta", "1/3", "--seed", "\u0667"],
+        # the search recurses once per vertex of a side
+        ["search", "--k", "1", "--na", "1000", "--nb", "1", "--alpha", "0",
+         "--beta", "1"],
+        ["search", "--k", "1", "--na", "1", "--nb", "1000", "--alpha", "1",
+         "--beta", "0"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys).startswith("error: ")
@@ -309,9 +364,14 @@ class TestMalformedInput:
         (["lemmas", "--fact", "F4", "--count", "5"],
          "error: lemmas without --stress ignores --count"),
         (["audit", "bells", "{six_cycle}", "--horizon", "3", "--k", "9"],
-         "error: audit bells ignores --k, --horizon"),
+         "error: unrecognized arguments: --horizon 3 --k 9"),
         (["audit", "bigindeg", "{six_cycle}", "--alpha", "1/3", "--beta", "1/3",
-          "--vertex", "A0"], "error: audit bigindeg ignores --vertex"),
+          "--vertex", "A0"], "error: unrecognized arguments: --vertex A0"),
+        (["audit", "bigindeg", "{six_cycle}", "--alpha", "1/3", "--beta", "1/3",
+          "--horizon", "3"], "error: unrecognized arguments: --horizon 3"),
+        (["audit", "graph.txt"],
+         "error: argument which: invalid choice: 'graph.txt' "
+         "(choose from 'bigset', 'bigindeg', 'bells')"),
         (["classify", "--k", "\u0662", "--alpha", "1/3", "--beta", "1/3"],
          "error: argument --k: '\u0662' is not a nonnegative integer"),
         (["classify", "--k", "2", "--alpha", "\u0661/\u0663", "--beta", "1/3"],
@@ -326,7 +386,7 @@ class TestMalformedInput:
          "error: search without --mode random ignores --seed"),
         (["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
           "--beta", "1/3", "--mode", "random", "--eulerian"],
-         "error: search --mode random ignores --eulerian"),
+         "error: randomized mode does not take eulerian"),
         # random.Random(-s) is random.Random(s): a negative seed has no stream of its own
         (["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
           "--beta", "1/3", "--mode", "random", "--seed", "-3", "--node-limit", "7"],
@@ -337,7 +397,8 @@ class TestMalformedInput:
         (["lemmas", "--stress", "newineq", "--seed", "-7"],
          "error: argument --seed: '-7' is not a nonnegative integer"),
     ], ids=["extra_token", "arabic_digit", "negative_max", "lemmas_count",
-            "bells_options", "bigindeg_vertex", "arabic_k", "arabic_alpha",
+            "bells_options", "bigindeg_vertex", "bigindeg_horizon", "audit_no_kind",
+            "arabic_k", "arabic_alpha",
             "underscore_k", "arabic_count", "search_seed", "random_eulerian",
             "negative_search_seed", "negative_construct_seed",
             "negative_stress_seed"])

@@ -22,8 +22,29 @@ def _load_perfbench(monkeypatch, name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                   PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # a dataclass looks it up
     spec.loader.exec_module(module)
     return module
+
+
+def test_workload_checks_accept_one_pass(monkeypatch, tmp_path):
+    # every benchmark operation is a fixed CLI argv or library call; one
+    # that a change breaks would fail only in the benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setitem(sys.modules, "checks", _load_perfbench(monkeypatch, "checks"))
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    modules = {name: importlib.import_module(f"bipgirth.{name}") for name in
+               ("cli", "io", "digraph", "constructions", "search", "lemmas",
+                "frontier", "audit")}
+    failed = []
+    for name, setup in workloads.SETUPS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for op in setup(modules, 1, str(workdir)).ops:
+            reason = op.check(op.call())
+            if reason is not None:
+                failed.append(f"{name}: {op.name}: {reason}")
+    assert failed == []
 
 
 def test_wrapped_attributes_exist(monkeypatch):
