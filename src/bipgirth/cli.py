@@ -374,10 +374,6 @@ def main(argv: Optional[list] = None) -> int:
         # e.g. a header that declares 10^9 vertices: the rows are allocated up front
         print("error: out of memory", file=sys.stderr)
         return 1
-    except RecursionError:
-        # the search recurses once per vertex of a side
-        print("error: recursion too deep for a side this large", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -649,6 +649,8 @@ def _run_ends(terms: Callable, p: int, q: int, points: range) -> list[int]:
             coeffs.append(values[0])
             values = [b - a for a, b in zip(values, values[1:])]
         assert coeffs[-1] == 0, f"a term above degree {_CAP} in n"
+        while len(coeffs) > 1 and not coeffs[-1]:
+            coeffs.pop()
         starts |= _flips(coeffs, points)
     starts = sorted(starts)
     return [m for a, b in zip(starts, starts[1:] + [points.stop]) for m in (a, b - 1)]

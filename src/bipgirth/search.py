@@ -31,6 +31,11 @@ swapping two B-vertices with equal columns (in-neighbourhoods), which
 swaps their B-rows; so b_{j+1} takes no earlier row than b_j when their
 columns are equal.  Double-lex puts equal columns side by side.
 
+Both phases are one depth-first loop over rows 0..n_a+n_b-1, the A-rows
+and then the B-rows, with one stack frame per row being chosen, so a side
+of any size runs.  `nodes` counts the candidate rows tried, pruned or not;
+a run ends LimitReached when the next candidate would pass node_limit.
+
 Canonical codes and automorphism counts come from one
 individualisation-refinement search (McKay & Piperno, "Practical graph
 isomorphism II", 2014).  A colour is the start position of its cell (side
@@ -216,10 +221,6 @@ def automorphism_count(g: BipartiteDigraph) -> int:
 # Exhaustive search
 # ---------------------------------------------------------------------------
 
-class _LimitHit(Exception):
-    pass
-
-
 class _Rows:
     """Masks with d of n bits in itertools.combinations order, made on
     demand so that a node limit bounds the work."""
@@ -243,15 +244,8 @@ class _Enumerator:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.d_a, self.d_b = cfg.degrees
-        self.nodes = 0
-        self.witness: Optional[BipartiteDigraph] = None
         self.rows_a = _Rows(cfg.n_b, self.d_a)
         self.rows_b = _Rows(cfg.n_a, self.d_b)
-
-    def _tick(self):
-        if self.nodes == self.cfg.node_limit:
-            raise _LimitHit
-        self.nodes += 1
 
     def _reach_b(self, a_in: tuple[int, ...], b_rows: tuple[int, ...]) -> int:
         """A-vertices that reach b_j, j = len(b_rows), within 2k-1 steps
@@ -266,61 +260,57 @@ class _Enumerator:
             reach |= frontier
         return reach
 
-    def _in_degrees(self, deg: list[int], row: int, cap: int,
-                    remaining: int) -> Optional[list[int]]:
-        """In-degrees deg after one more row; None when eulerian and a
-        vertex would pass cap or could no longer reach it in the remaining
-        rows.  Past the last row every in-degree is thus exactly cap."""
-        if not self.cfg.eulerian:
-            return deg
-        deg = [c + (row >> i & 1) for i, c in enumerate(deg)]
-        return None if any(c > cap or c + remaining < cap for c in deg) else deg
-
-    def _b_phase(self, a_rows: tuple[int, ...]) -> bool:
-        cfg = self.cfg
-        a_in = _transpose(a_rows, cfg.n_b)
-
-        def rec(b_rows: tuple[int, ...], min_idx: int, deg: list[int]) -> bool:
-            j = len(b_rows)
-            if j == cfg.n_b:
-                self.witness = BipartiteDigraph(cfg.n_a, cfg.n_b, a_rows, b_rows)
-                return True
-            remaining = cfg.n_b - j - 1
-            forbidden = self._reach_b(a_in, b_rows)
+    def run(self) -> tuple[SearchStatus, int, Optional[BipartiteDigraph]]:
+        """(status, nodes, witness) of the depth-first search over rows
+        0..n_a+n_b-1, the A-rows and then the B-rows."""
+        cfg, n_a, n_b = self.cfg, self.cfg.n_a, self.cfg.n_b
+        n, limit, eulerian = n_a + n_b, cfg.node_limit, cfg.eulerian
+        rows = [0] * n
+        nodes = 0
+        # a frame per row being chosen: (candidates left, forbidden, tied,
+        # whether the next row starts at this row's index, in-degrees);
+        # tied has bit j set while A-columns j and j+1 are equal so far
+        stack = [(self.rows_a.starting(0), 0, (1 << n_b - 1) - 1, n_a > 1, [0] * n_b)]
+        while stack:
+            depth = len(stack) - 1
+            cands, forbidden, tied, keep, deg = stack[-1]
+            new = deg
+            if eulerian:  # every in-degree ends at cap, with `left` rows to go
+                cap, left = ((self.d_b, n_a - depth - 1) if depth < n_a
+                             else (self.d_a, n - depth - 1))
+            for idx, row in cands:
+                if nodes == limit:
+                    return SearchStatus.LimitReached, nodes, None
+                nodes += 1
+                # a B-row closes a short cycle, or an A-row puts column j+1 past column j
+                if row & forbidden or tied & ~row & (row >> 1):
+                    continue
+                if eulerian:
+                    new = [c + (row >> i & 1) for i, c in enumerate(deg)]
+                    if any(c > cap or c + left < cap for c in new):
+                        continue
+                break
+            else:
+                stack.pop()
+                continue
+            rows[depth] = row
+            depth += 1
+            start = idx if keep else 0
+            if depth < n_a:  # A-rows nondecreasing
+                stack.append((self.rows_a.starting(start), 0, tied & ~(row ^ (row >> 1)),
+                              depth + 1 < n_a, new))
+                continue
+            if depth == n:
+                return (SearchStatus.FoundCounterexample, nodes,
+                        BipartiteDigraph(n_a, n_b, tuple(rows[:n_a]), tuple(rows[n_a:])))
+            if depth == n_a:
+                a_in = _transpose(rows[:n_a], n_b)
+                new = [0] * n_a
             # b_{j+1} with b_j's in-neighbours takes no earlier row
-            same = remaining and a_in[j + 1] == a_in[j]
-            for idx, row in self.rows_b.starting(min_idx):
-                self._tick()
-                if row & forbidden:
-                    continue
-                if (new := self._in_degrees(deg, row, self.d_a, remaining)) is None:
-                    continue
-                if rec(b_rows + (row,), idx if same else 0, new):
-                    return True
-            return False
-
-        return rec((), 0, [0] * cfg.n_a)
-
-    def _a_phase(self) -> bool:
-        cfg = self.cfg
-
-        def rec(rows: tuple[int, ...], min_idx: int, tied: int, deg: list[int]) -> bool:
-            """tied: bit j set while columns j and j+1 are equal so far;
-            deg: in-degree of each B-vertex from the rows so far."""
-            if len(rows) == cfg.n_a:
-                return self._b_phase(rows)
-            remaining = cfg.n_a - len(rows) - 1
-            for idx, row in self.rows_a.starting(min_idx):
-                self._tick()
-                if tied & ~row & (row >> 1):  # column j+1 would pass column j
-                    continue
-                if (new := self._in_degrees(deg, row, self.d_b, remaining)) is None:
-                    continue
-                if rec(rows + (row,), idx, tied & ~(row ^ (row >> 1)), new):  # rows nondecreasing
-                    return True
-            return False
-
-        return rec((), 0, (1 << cfg.n_b - 1) - 1, [0] * cfg.n_b)
+            j = depth - n_a
+            stack.append((self.rows_b.starting(start), self._reach_b(a_in, rows[n_a:depth]), 0,
+                          j + 1 < n_b and a_in[j + 1] == a_in[j], new))
+        return SearchStatus.Exhausted, nodes, None
 
 
 def find_counterexample(cfg: SearchConfig) -> SearchReport:
@@ -353,19 +343,12 @@ def find_counterexample(cfg: SearchConfig) -> SearchReport:
         status = SearchStatus.FoundCounterexample if witness else SearchStatus.LimitReached
         return SearchReport(status, witness, nodes, time.perf_counter() - start, cfg)
 
-    enum = _Enumerator(cfg)
-    try:
-        found = enum._a_phase()
-        status = (SearchStatus.FoundCounterexample if found
-                  else SearchStatus.Exhausted)
-    except _LimitHit:
-        status = SearchStatus.LimitReached
-    witness = enum.witness
+    status, nodes, witness = _Enumerator(cfg).run()
     if witness is not None:
         assert is_compliant(witness, cfg.alpha, cfg.beta)
         gr = girth(witness)
         assert gr is None or gr.length > 2 * cfg.k
-    return SearchReport(status, witness, enum.nodes, time.perf_counter() - start, cfg)
+    return SearchReport(status, witness, nodes, time.perf_counter() - start, cfg)
 
 
 def verify_conjecture_small(k: int, n_max: int, *, eulerian: bool = False,

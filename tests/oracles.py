@@ -7,7 +7,10 @@ those, by one full BFS from every start without trimming, layers (and
 the distance powers read from them) by naive repeated relaxation over an
 explicit adjacency dict, canonical forms and automorphism counts by
 trying every relabeling, the exhaustive search
-with nondecreasing A-rows as its only symmetry rule, the randomized
+with nondecreasing A-rows as its only symmetry rule, the exhaustive
+search's former recursive enumerator (one call per row, its code kept
+verbatim),
+which pins its node counts and witnesses, the randomized
 search drawing each sample whole (its former loop and row drawing, kept
 verbatim) and running girth on every one, the facts F1-F11
 as the `Fraction` statements evaluated at `Fraction` grid points that the
@@ -48,6 +51,7 @@ from bipgirth.digraph import (
     _bipartite,
     _bits,
     _expand,
+    _transpose,
     _unified,
     general_from_edges,
     girth,
@@ -55,7 +59,7 @@ from bipgirth.digraph import (
 from bipgirth.frontier import LARGE_K_START, AlphaBeta, BadWitness, Status, Verdict
 from bipgirth.errors import CaseNotApplicable, InfeasibleTriple
 from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport, FeasibleTriple
-from bipgirth.search import SearchStatus
+from bipgirth.search import SearchStatus, _Rows
 
 
 def to_networkx(g) -> nx.DiGraph:
@@ -346,6 +350,99 @@ def reference_search(n_a: int, n_b: int, k: int, d_a: int, d_b: int,
         if found:
             return found
     return None
+
+
+class _LimitHit(Exception):
+    pass
+
+
+class _RecursiveEnumerator:
+    """The exhaustive search as it was before its single explicit-stack
+    loop: one recursive call per row, kept verbatim."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.d_a, self.d_b = cfg.degrees
+        self.nodes = 0
+        self.witness: Optional[BipartiteDigraph] = None
+        self.rows_a = _Rows(cfg.n_b, self.d_a)
+        self.rows_b = _Rows(cfg.n_a, self.d_b)
+
+    def _tick(self):
+        if self.nodes == self.cfg.node_limit:
+            raise _LimitHit
+        self.nodes += 1
+
+    def _reach_b(self, a_in: tuple[int, ...], b_rows: tuple[int, ...]) -> int:
+        frontier = reach = a_in[len(b_rows)]
+        for _ in range(self.cfg.k - 1):
+            nxt_b = sum(1 << i for i, row in enumerate(b_rows) if row & frontier)
+            frontier = _expand(a_in, nxt_b) & ~reach
+            if not frontier:
+                break
+            reach |= frontier
+        return reach
+
+    def _in_degrees(self, deg: list[int], row: int, cap: int,
+                    remaining: int) -> Optional[list[int]]:
+        if not self.cfg.eulerian:
+            return deg
+        deg = [c + (row >> i & 1) for i, c in enumerate(deg)]
+        return None if any(c > cap or c + remaining < cap for c in deg) else deg
+
+    def _b_phase(self, a_rows: tuple[int, ...]) -> bool:
+        cfg = self.cfg
+        a_in = _transpose(a_rows, cfg.n_b)
+
+        def rec(b_rows: tuple[int, ...], min_idx: int, deg: list[int]) -> bool:
+            j = len(b_rows)
+            if j == cfg.n_b:
+                self.witness = BipartiteDigraph(cfg.n_a, cfg.n_b, a_rows, b_rows)
+                return True
+            remaining = cfg.n_b - j - 1
+            forbidden = self._reach_b(a_in, b_rows)
+            same = remaining and a_in[j + 1] == a_in[j]
+            for idx, row in self.rows_b.starting(min_idx):
+                self._tick()
+                if row & forbidden:
+                    continue
+                if (new := self._in_degrees(deg, row, self.d_a, remaining)) is None:
+                    continue
+                if rec(b_rows + (row,), idx if same else 0, new):
+                    return True
+            return False
+
+        return rec((), 0, [0] * cfg.n_a)
+
+    def _a_phase(self) -> bool:
+        cfg = self.cfg
+
+        def rec(rows: tuple[int, ...], min_idx: int, tied: int, deg: list[int]) -> bool:
+            if len(rows) == cfg.n_a:
+                return self._b_phase(rows)
+            remaining = cfg.n_a - len(rows) - 1
+            for idx, row in self.rows_a.starting(min_idx):
+                self._tick()
+                if tied & ~row & (row >> 1):
+                    continue
+                if (new := self._in_degrees(deg, row, self.d_b, remaining)) is None:
+                    continue
+                if rec(rows + (row,), idx, tied & ~(row ^ (row >> 1)), new):
+                    return True
+            return False
+
+        return rec((), 0, (1 << cfg.n_b - 1) - 1, [0] * cfg.n_b)
+
+
+def recursive_search(cfg) -> tuple[SearchStatus, int, Optional[BipartiteDigraph]]:
+    """(status, nodes explored, witness) of the recursive exhaustive search."""
+    enum = _RecursiveEnumerator(cfg)
+    try:
+        status = (SearchStatus.FoundCounterexample if enum._a_phase()
+                  else SearchStatus.Exhausted)
+    except _LimitHit:
+        status = SearchStatus.LimitReached
+    return status, enum.nodes, enum.witness
 
 
 def whole_draw_compliant(n_a: int, n_b: int, alpha: Fraction, beta: Fraction,

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import bipgirth
 from bipgirth.cli import build_parser, main, parse_rational
 from bipgirth.constructions import circulant
-from bipgirth.io import to_edge_list
+from bipgirth.digraph import girth
+from bipgirth.io import parse_edge_list, to_edge_list
 
 
 @pytest.fixture
@@ -181,6 +182,19 @@ class TestSearch:
         blob = json.loads(capsys.readouterr().out)
         assert blob["status"] == "Exhausted"
 
+    @pytest.mark.parametrize("na, nb, alpha, beta", [
+        ("1000", "1", "0", "1"), ("1", "1000", "1", "0")], ids=["a1000", "b1000"])
+    def test_large_side(self, na, nb, alpha, beta, capsys):
+        # each vertex of the large side points at the one vertex of the
+        # other, which points nowhere: the only candidate is acyclic
+        rc = main(["search", "--k", "1", "--na", na, "--nb", nb,
+                   "--alpha", alpha, "--beta", beta])
+        assert rc == 2
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["status"] == "FoundCounterexample"
+        assert blob["nodes_explored"] == 1001
+        assert girth(parse_edge_list(blob["witness"])) is None
+
     def test_random_mode_maps(self, capsys):
         rc = main(["search", "--k", "1", "--na", "3", "--nb", "3",
                    "--alpha", "1/3", "--beta", "1/3",
@@ -345,11 +359,6 @@ class TestMalformedInput:
          "--in-offsets", "1"],
         ["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "1/3",
          "--beta", "1/3", "--seed", "\u0667"],
-        # the search recurses once per vertex of a side
-        ["search", "--k", "1", "--na", "1000", "--nb", "1", "--alpha", "0",
-         "--beta", "1"],
-        ["search", "--k", "1", "--na", "1", "--nb", "1000", "--alpha", "1",
-         "--beta", "0"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys).startswith("error: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -20,7 +21,14 @@ from bipgirth.search import (
     verify_eulerian_small,
 )
 
-from oracles import all_digraphs, brute_canonical, reference_search, relabel, whole_draw_search
+from oracles import (
+    all_digraphs,
+    brute_canonical,
+    recursive_search,
+    reference_search,
+    relabel,
+    whole_draw_search,
+)
 
 
 def F(p, q=1):
@@ -178,11 +186,17 @@ class TestFindCounterexample:
         assert a.witness == b.witness
         assert a.nodes_explored == b.nodes_explored
 
-    def test_node_limit(self):
-        cfg = SearchConfig(4, 4, 2, F(1, 2), F(1, 2), node_limit=5)
-        rep = find_counterexample(cfg)
-        assert rep.status is SearchStatus.LimitReached
-        assert rep.nodes_explored == 5
+    @pytest.mark.parametrize("cfg, limit, status", [
+        ((4, 4, 2, F(1, 2), F(1, 2)), 3, SearchStatus.LimitReached),  # in the A-phase
+        ((4, 4, 2, F(1, 2), F(1, 2)), 5, SearchStatus.LimitReached),  # in the B-phase
+        # the run takes 9,586 nodes: a limit one short stops before the last
+        ((5, 5, 2, F(2, 5), F(2, 5)), 9_585, SearchStatus.LimitReached),
+        ((5, 5, 2, F(2, 5), F(2, 5)), 9_586, SearchStatus.Exhausted),
+    ], ids=["a-phase", "b-phase", "one-short", "exact"])
+    def test_node_limit(self, cfg, limit, status):
+        rep = find_counterexample(SearchConfig(*cfg, node_limit=limit))
+        assert rep.status is status
+        assert rep.nodes_explored == limit
 
     def test_node_limit_bounds_the_work(self):
         # C(100, 50) rows per side: rows must be made as the search reaches them
@@ -194,7 +208,9 @@ class TestFindCounterexample:
 
     def test_statuses_match_reference(self):
         # every config with sides <= 4, k <= 3 and exact degrees d_a, d_b
-        # against the search whose only symmetry rule is nondecreasing A-rows
+        # against the search whose only symmetry rule is nondecreasing A-rows,
+        # and against the recursive enumerator at the full run and at every
+        # node limit below it, so in both phases
         for n_a, n_b, k in itertools.product(range(1, 5), range(1, 5), (1, 2, 3)):
             for d_a, d_b in itertools.product(range(1, n_b + 1), range(1, n_a + 1)):
                 for eulerian in {False, n_a * d_a == n_b * d_b}:
@@ -202,6 +218,11 @@ class TestFindCounterexample:
                     cfg = SearchConfig(n_a, n_b, k, alpha, beta, eulerian=eulerian)
                     assert cfg.degrees == (d_a, d_b)
                     rep = find_counterexample(cfg)
+                    assert (rep.status, rep.nodes_explored, rep.witness) == recursive_search(cfg)
+                    for limit in range(1, rep.nodes_explored):
+                        c = dataclasses.replace(cfg, node_limit=limit)
+                        r = find_counterexample(c)
+                        assert (r.status, r.nodes_explored, r.witness) == recursive_search(c), c
                     ref = reference_search(n_a, n_b, k, d_a, d_b, eulerian)
                     assert rep.status is (SearchStatus.Exhausted if ref is None
                                           else SearchStatus.FoundCounterexample), cfg
@@ -281,7 +302,13 @@ class TestPinnedWork:
         ((6, 6, 2, F(1, 3), F(1, 3)), SearchStatus.FoundCounterexample,
          39_530, ((3, 3, 12, 12, 48, 48), (12, 12, 48, 48, 3, 3))),
         ((5, 5, 3, F(2, 5), F(1, 5)), SearchStatus.Exhausted, 3_583, None),
-    ], ids=["n5-k2", "n6-k2", "n5-k3"])  # ids without the counts, which re-pinning changes
+        # a side of 3,000 vertices: one frame per row, so no recursion limit
+        ((3000, 1, 1, F(0), F(1)), SearchStatus.FoundCounterexample,
+         3_001, ((1,) * 3000, (0,))),
+        ((1, 3000, 1, F(1), F(0)), SearchStatus.FoundCounterexample,
+         3_001, ((0,), (1,) * 3000)),
+        # ids without the counts, which re-pinning changes
+    ], ids=["n5-k2", "n6-k2", "n5-k3", "a3000", "b3000"])
     def test_exhaustive_runs(self, cfg, status, nodes, witness):
         rep = find_counterexample(SearchConfig(*cfg))
         assert rep.status is status
