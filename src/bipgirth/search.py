@@ -38,12 +38,15 @@ a run ends LimitReached when the next candidate would pass node_limit.
 
 Canonical codes and automorphism counts come from one
 individualisation-refinement search (McKay & Piperno, "Practical graph
-isomorphism II", 2014).  A colour is the start position of its cell (side
-A starts at 0, side B at a_size); refinement splits cells in place until
-none splits.  A node individualises each vertex v of its first
-non-singleton cell in turn (v keeps colour c, the rest take c+1).  A leaf
-is a discrete colouring; the canonical code is the least leaf code, the
-adjacency relabeled by position.
+isomorphism II", 2014).  Cells are vertex masks keyed by first position:
+side A at 0, side B at a_size, and no cell for an empty side, so n cells
+are discrete.  The least queued splitter S splits each cell meeting `hit`
+(the neighbours of S) by out- and in-neighbour counts in S; the parts go
+in count order, all queued, until the queue empties or the cells are
+discrete.  A child individualises v of its node's first non-singleton
+cell c (v at c, the rest at c+1) and queues only c, as the node is
+equitable: counts into the rest are counts into c less those into v.  The
+canonical code is the least leaf code, the adjacency relabeled by position.
 
 A leaf with the first leaf's code gives an automorphism: position p of
 the first leaf to position p of this one.  Individualised vertices keep
@@ -60,14 +63,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .constructions import _draw_rows, random_compliant, required_degrees
-from .digraph import BipartiteDigraph, _bits, _expand, _transpose, _unified, girth, is_compliant
+from .digraph import BipartiteDigraph, _bits, _expand, _transpose, girth, is_compliant
 from .errors import InfeasibleConfig, InfeasibleDegree
 from .io import to_edge_list
 
@@ -144,26 +146,10 @@ class SearchReport:
 # Canonical codes
 # ---------------------------------------------------------------------------
 
-def _refine(col: list[int], out: list[list[int]], inn: list[list[int]]) -> None:
-    """Split the cells of col in place by (colour, sorted out- and
-    in-neighbour colours) until none splits."""
-    while True:
-        cells = len(set(col))
-        key = [(col[v], sorted(col[u] for u in out[v]), sorted(col[u] for u in inn[v]))
-               for v in range(len(col))]
-        order = sorted(range(len(col)), key=key.__getitem__)
-        for p, v in enumerate(order):
-            col[v] = col[order[p - 1]] if p and key[v] == key[order[p - 1]] else p
-        if len(set(col)) == cells:
-            return
-
-
 def _canonical(g: BipartiteDigraph) -> tuple[bytes, int]:
     """Canonical code and automorphism count (see the module docstring)."""
-    a = g.a_size
-    n, fwd, _ = _unified(g)
-    out = [list(_bits(m)) for m in fwd]
-    inn = [list(_bits(m)) for m in g.reverse().out]
+    fwd, bwd = g.out, g.reverse().out
+    a, n = g.a_size, len(fwd)
     orbit = list(range(n))  # union-find over the automorphisms found so far
     first = best = None  # first: the code and vertex order of the first leaf
     count = 1
@@ -173,14 +159,28 @@ def _canonical(g: BipartiteDigraph) -> tuple[bytes, int]:
             orbit[v] = v = orbit[orbit[v]]
         return v
 
-    def search(col: list[int], on_first: bool) -> bool:
-        """Explore one node; True means a leaf below it gave an automorphism."""
+    def search(cells: dict[int, int], queue: set[int], on_first: bool) -> bool:
+        """Refine, then explore the node; True means a leaf below gave an automorphism."""
         nonlocal first, best, count
-        _refine(col, out, inn)
-        c = min((c for c, m in Counter(col).items() if m > 1), default=None)
-        if c is None:
-            order = sorted(range(n), key=col.__getitem__)
-            code = tuple(sum(1 << col[u] for u in out[v]) for v in order)
+        while queue and len(cells) < n:
+            s = min(queue)
+            queue.remove(s)
+            splitter = cells[s]
+            hit = _expand(fwd, splitter) | _expand(bwd, splitter)
+            for p, m in [(p, m) for p, m in cells.items() if m & hit and m & (m - 1)]:
+                parts: dict[tuple[int, int], int] = {}
+                for v in _bits(m):
+                    key = (fwd[v] & splitter).bit_count(), (bwd[v] & splitter).bit_count()
+                    parts[key] = parts.get(key, 0) | 1 << v
+                if len(parts) > 1:
+                    for key in sorted(parts):
+                        cells[p] = parts[key]
+                        queue.add(p)
+                        p += parts[key].bit_count()
+        if len(cells) == n:
+            order = [cells[p].bit_length() - 1 for p in range(n)]
+            at = {v: 1 << p for p, v in enumerate(order)}
+            code = tuple(_expand(at, fwd[v]) for v in order)
             if first is None:
                 first = code, order
             elif code == first[0]:
@@ -189,20 +189,20 @@ def _canonical(g: BipartiteDigraph) -> tuple[bytes, int]:
                 return True
             best = code if best is None else min(best, code)
             return False
-        cell = [v for v in range(n) if col[v] == c]
-        tried: list[int] = []
-        for v in cell:
-            if on_first and any(find(v) == find(u) for u in tried):
+        c = min(p for p, m in cells.items() if m & (m - 1))
+        cell = list(_bits(cells[c]))
+        for i, v in enumerate(cell):
+            if on_first and any(find(v) == find(u) for u in cell[:i]):
                 continue
-            child = [c + 1 if col[u] == c and u != v else col[u] for u in range(n)]
-            if search(child, on_first and not tried) and not on_first:
+            child = {**cells, c: 1 << v, c + 1: cells[c] ^ 1 << v}
+            if search(child, {c}, on_first and not i) and not on_first:
                 return True
-            tried.append(v)
         if on_first:
             count *= sum(find(v) == find(cell[0]) for v in cell)
         return False
 
-    search([0] * a + [a] * g.b_size, True)
+    root = {p: m for p, m in ((0, (1 << a) - 1), (a, (1 << n) - (1 << a))) if m}
+    search(root, set(root), True)
     rows = ",".join(str(r >> a) for r in best[:a]) + "|" + ",".join(map(str, best[a:]))
     return f"{a} {g.b_size} {rows}".encode(), count
 

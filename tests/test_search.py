@@ -70,7 +70,7 @@ class TestCanonicalCode:
         small += [random_regular(rng, n, d) for n in (6, 9, 12) for d in (1, 2) for _ in range(3)]
         circulants = [circulant(*kst) for kst in (
             (2, 1, 1), (1, 3, 3), (3, 2, 2), (2, 3, 4), (3, 7, 7), (4, 6, 5), (5, 4, 5))]
-        kts = ((1, 10), (2, 6), (3, 5), (4, 4), (9, 2))
+        kts = ((1, 10), (1, 15), (1, 20), (2, 6), (3, 5), (4, 4), (9, 2))
         layered = [layered_cycle(k, t) for k, t in kts]
         for g in small + circulants + layered:
             h = random_relabel(g, rng)
@@ -126,6 +126,17 @@ class TestCanonicalCode:
             assert len(orbit) * automorphism_count(g) == 36
             assert automorphism_count(g) == brute_canonical(g)[1]
 
+    def test_empty_side(self):
+        # the root partition must not keep an empty cell for the empty side,
+        # which would make n cells read as discrete too early
+        rng = random.Random(34)
+        for g, count in ((BipartiteDigraph(3, 0, (0,) * 3, ()), 6),
+                         (BipartiteDigraph(0, 3, (), (0,) * 3), 6),
+                         (BipartiteDigraph(2, 0, (0,) * 2, ()), 2),
+                         (BipartiteDigraph(4, 1, (1, 1, 0, 0), (0,)), 4)):
+            assert automorphism_count(g) == count
+            assert canonical_code(random_relabel(g, rng)) == canonical_code(g)
+
     def test_six_cycle_automorphisms(self):
         assert automorphism_count(circulant(2, 1, 1)) == 3
 
@@ -133,6 +144,13 @@ class TestCanonicalCode:
         start = time.perf_counter()
         canonical_code(circulant(3, 7, 7))
         assert time.perf_counter() - start < 1.0
+
+    def test_thirty_per_class_layered_cycle_in_two_seconds(self):
+        g = layered_cycle(1, 30)
+        start = time.perf_counter()
+        canonical_code(g)
+        assert automorphism_count(g) == math.factorial(30) ** 4 * 2
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSearchConfig:
