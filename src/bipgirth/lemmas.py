@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -32,6 +32,7 @@ from .errors import (
 )
 
 Real = Union[int, Fraction]
+Value = Union[Real, float, str]  # what `NewineqInstance` reads exactly
 
 DELTA3 = Fraction(2886, 1000)
 DELTA4 = Fraction(34814, 10000)
@@ -77,34 +78,45 @@ def _sq_over(num: Real, den: Real) -> Fraction:
     return Fraction(num * num, den) if den else Fraction(0)
 
 
-def _over_lcm(values: Sequence[Real]) -> tuple[list[int], int]:
-    """The numerators of `values` over their least common denominator, and it."""
-    ratios = [v.as_integer_ratio() for v in values]
+def _over_lcm(values: Sequence[Value]) -> tuple[list[int], int]:
+    """The numerators of `values` over their least common denominator, and
+    it; a value without `as_integer_ratio` (a `str`) goes through `Fraction`."""
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:
+        ratios = [Fraction(v).as_integer_ratio() for v in values]
     d = math.lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
 
 
-@dataclass(frozen=True)
-class NewineqInstance:
-    """The five values as `Fraction`s, and in `_int` as integers over their
-    lcm D: (X, Y, B, G, M, D) with x = X/D, y = Y/D, beta = B/D,
-    gamma = G/D and mu = M/D."""
-    x: Real
-    y: Real
-    beta: Real
-    gamma: Real
-    mu: Real
-    _int: tuple[int, ...] = field(init=False, repr=False, compare=False)
+def _over_d(i: int) -> property:
+    """The exact value of the instance's i-th integer over its D."""
+    return property(lambda self: Fraction(self._int[i], self._int[5]))
 
-    def __post_init__(self):
-        for name in ("x", "y", "beta", "gamma", "mu"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        (X, Y, B, G, M), D = _over_lcm((self.x, self.y, self.beta, self.gamma, self.mu))
+
+@dataclass(frozen=True, init=False, repr=False)
+class NewineqInstance:
+    """Five exact values stored only as integers over their lcm D:
+    `_int` = (X, Y, B, G, M, D) with x = X/D, y = Y/D, beta = B/D,
+    gamma = G/D and mu = M/D.  Each input is read through its
+    `as_integer_ratio()`, so a float is kept exactly; `x`, `y`, `beta`,
+    `gamma` and `mu` build their `Fraction` when read."""
+    _int: tuple[int, ...]
+
+    def __init__(self, x: Value, y: Value, beta: Value, gamma: Value, mu: Value):
+        (X, Y, B, G, M), D = _over_lcm((x, y, beta, gamma, mu))
         if not (0 <= X <= Y <= D):
-            raise ValueError(f"need 0 <= x <= y <= 1, got x={self.x}, y={self.y}")
+            raise ValueError(f"need 0 <= x <= y <= 1, got x={Fraction(X, D)}, "
+                             f"y={Fraction(Y, D)}")
         if B < 0 or G < 0 or M < 0:
             raise ValueError("beta, gamma, mu must be nonnegative")
         object.__setattr__(self, "_int", (X, Y, B, G, M, D))
+
+    x, y, beta, gamma, mu = map(_over_d, range(5))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(x={self.x!r}, y={self.y!r}, "
+                f"beta={self.beta!r}, gamma={self.gamma!r}, mu={self.mu!r})")
 
     def eligible(self, case: str) -> bool:
         X, Y, B, G, M, D = self._int
@@ -149,7 +161,8 @@ def f_value(inst: NewineqInstance, t: FeasibleTriple) -> Real:
 def newineq_bound(inst: NewineqInstance, case: str) -> Real:
     """Proved lower bound for f over the feasible set, per case: in case c,
     (mu - x*gamma)^2/y + (beta - mu)^2/(1-y), with H = M*D - X*G, is
-    H^2/(D^3*Y) + (B-M)^2/(D*(D-Y)), each term under the convention of
+    H^2/(D^3*Y) + (B-M)^2/(D*(D-Y)), one fraction over D^3*Y*(D-Y) when
+    0 < Y < D; at Y = 0 or Y = D each term keeps the convention of
     `_sq_over`."""
     if not inst.eligible(case):
         raise CaseNotApplicable(f"case {case} ineligible for {inst}")
@@ -159,7 +172,10 @@ def newineq_bound(inst: NewineqInstance, case: str) -> Real:
         return _sq_over(C, D ** 3 * X)
     if case == "b":
         return Fraction(C * C, D ** 4)
-    return _sq_over(M * D - X * G, D ** 3 * Y) + _sq_over(B - M, D * (D - Y))
+    H, Z = M * D - X * G, D - Y
+    if Y and Z:
+        return Fraction(H * H * Z + (B - M) ** 2 * D * D * Y, D ** 3 * Y * Z)
+    return _sq_over(H, D ** 3 * Y) + _sq_over(B - M, D * Z)
 
 
 def newineq_min_oracle(inst: NewineqInstance) -> Optional[Fraction]:

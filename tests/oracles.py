@@ -21,10 +21,10 @@ the paper's inequalities with the least bad t in closed form.  The
 edge-list parser's reference is its former per-line loop, kept verbatim;
 so are the circulant's and the frontier classifier's `Fraction` rules
 with their loop over t, and the quadratic bound's `Fraction` kernel
-(eligibility, feasibility check, f, bound and minimiser) that the integer
-one replaced.  The lowest-bit-first `_expand`, `_transpose` and `_trim`
-loops are the references for the top-bit loops that replaced them, kept
-verbatim.
+(instance integers, eligibility, feasibility check, f, bound and
+minimiser) that the integer one replaced.  The lowest-bit-first
+`_expand`, `_transpose` and `_trim` loops are the references for the
+top-bit loops that replaced them, kept verbatim.
 """
 
 from __future__ import annotations
@@ -825,6 +825,14 @@ def _sq_over(num, den) -> Fraction:
     """num^2/den with the stated convention: a zero denominator is taken
     to come with a zero numerator, and the whole term is zero."""
     return Fraction(num * num, den) if den else Fraction(0)
+
+
+def fraction_instance_ints(inst) -> tuple[int, ...]:
+    """(X, Y, B, G, M, D): each value made a `Fraction`, then put over the
+    lcm D of their denominators."""
+    values = [Fraction(v) for v in (inst.x, inst.y, inst.beta, inst.gamma, inst.mu)]
+    d = math.lcm(*[v.denominator for v in values])
+    return (*[v.numerator * (d // v.denominator) for v in values], d)
 
 
 def fraction_eligible(inst, case: str) -> bool:

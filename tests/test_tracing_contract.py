@@ -85,11 +85,13 @@ def test_region_grid_classifies_through_the_module(k, resolution):
 @pytest.mark.parametrize("count, seed", [(1, 0), (40, 20260823)])
 def test_newineq_stress_calls_through_the_module(count, seed):
     # lemmas.oracle_calls counts the calls to lemmas.newineq_min_oracle, and
-    # the lemmas.bound span wraps lemmas.newineq_bound
+    # the lemmas.bound and lemmas.instance spans wrap lemmas.newineq_bound
+    # and lemmas.random_newineq_instance
     with count_calls(lemmas, "newineq_min_oracle") as oracle, \
-            count_calls(lemmas, "newineq_bound") as bound:
+            count_calls(lemmas, "newineq_bound") as bound, \
+            count_calls(lemmas, "random_newineq_instance") as drawn:
         lemmas.newineq_stress("abc", count, seed)
-    assert oracle[0] == bound[0] == 3 * count
+    assert oracle[0] == bound[0] == drawn[0] == 3 * count
 
 
 @pytest.mark.parametrize("cfg, seed", [
