@@ -20,7 +20,6 @@ from .digraph import (
     star_union,
 )
 from .constructions import (
-    OffsetSpec,
     ch_reduce,
     circulant,
     layered_cycle,
@@ -29,7 +28,6 @@ from .constructions import (
     required_degrees,
 )
 from .frontier import (
-    AlphaBeta,
     BadWitness,
     Status,
     Verdict,
@@ -53,7 +51,6 @@ from .lemmas import (
     CheckReport,
     DeltaEntry,
     FactReport,
-    FeasibleTriple,
     IneqParams,
     NewineqInstance,
     appliedineq_check,

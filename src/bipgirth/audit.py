@@ -2,7 +2,10 @@
 
 Both theorems audited here are proved, so a reported violation means the
 layer machinery (or the audit itself) is buggy; the audits are the
-strongest available oracle for that machinery.
+strongest available oracle for that machinery.  The exception is a
+`bigset` audit at a claimed-only delta (`DELTA12`): it rests on an unproved
+constant, so a violation there may refute the claim, not expose a bug; its
+report's detail ends in " (claimed only)".
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
     or the star union below it is very large (side-appropriate thresholds)."""
     if horizon is not None and horizon < 1:
         raise ValueError(f"horizon {horizon} is below 1")
-    if delta not in {e.delta for e in delta_table(k)}:
+    entry = next((e for e in delta_table(k) if e.delta == delta), None)
+    if entry is None:
         raise PreconditionViolated(f"delta={delta} is not a table entry at k={k}")
     if horizon is None:
         horizon = 2 * k + 2
@@ -82,7 +86,8 @@ def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
         entries.append(BigsetEntry(i, len(layer), by_layer or by_star, branch, star_size))
     passed = all(e.ok for e in entries)
     return AuditReport("bigset", passed, tuple(entries),
-                       detail=f"v={v}, k={k}, delta={delta}")
+                       detail=f"v={v}, k={k}, delta={delta}"
+                              + (" (claimed only)" if entry.claimed_only else ""))
 
 
 def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> AuditReport:

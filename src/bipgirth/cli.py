@@ -125,8 +125,7 @@ def _cmd_construct(args) -> int:
     elif which == "circulant":
         g = constructions.circulant(args.k, args.s, args.t)
     elif which == "offset":
-        g = constructions.offset_circulant(constructions.OffsetSpec(
-            args.n, args.out_offsets, args.in_offsets))
+        g = constructions.offset_circulant(args.n, args.out_offsets, args.in_offsets)
     elif which == "ch-reduce":
         g = constructions.ch_reduce(_load(args.file, GeneralDigraph))
     else:
@@ -166,8 +165,7 @@ def _cmd_comply(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    p = frontier.AlphaBeta(args.alpha, args.beta)
-    v = frontier.classify(args.k, p)
+    v = frontier.classify(args.k, args.alpha, args.beta)
     if v.status is frontier.Status.GOOD:
         print(f"GOOD rule=({v.rule})")
     elif v.status is frontier.Status.BAD:

@@ -9,26 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .digraph import BipartiteDigraph, GeneralDigraph
 from .errors import InfeasibleDegree, NullDigraph
-
-
-@dataclass(frozen=True)
-class OffsetSpec:
-    n: int
-    out_offsets: frozenset[int]  # a_i -> b_{i+x} for x in out_offsets
-    in_offsets: frozenset[int]   # b_i -> a_{i+y} for y in in_offsets
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        object.__setattr__(self, "out_offsets",
-                           frozenset(x % self.n for x in self.out_offsets))
-        object.__setattr__(self, "in_offsets",
-                           frozenset(y % self.n for y in self.in_offsets))
 
 
 def layered_cycle(k: int, t: int) -> BipartiteDigraph:
@@ -63,19 +48,22 @@ def circulant(k: int, s: int, t: int) -> BipartiteDigraph:
     if k < 1 or s < 1 or t < 1:
         raise ValueError("k, s, t must all be positive")
     n = k * (s + t - 1) + 1
-    return offset_circulant(OffsetSpec(n, frozenset(range(s)), frozenset(range(1, t + 1))))
+    return offset_circulant(n, range(s), range(1, t + 1))
 
 
-def offset_circulant(spec: OffsetSpec) -> BipartiteDigraph:
-    """Vertex-transitive rule a_i -> b_{i+x}, b_i -> a_{i+y}; regular on both
-    sides, so in-degree equals out-degree per side."""
-    n = spec.n
-    a_row = 0
-    for x in spec.out_offsets:
-        a_row |= 1 << x
+def offset_circulant(n: int, out_offsets: Iterable[int],
+                     in_offsets: Iterable[int]) -> BipartiteDigraph:
+    """Vertex-transitive rule a_i -> b_{i+x} for x in out_offsets and
+    b_i -> a_{i+y} for y in in_offsets, offsets taken mod n; regular on
+    both sides, so in-degree equals out-degree per side."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    a_row = 0  # offsets equal mod n OR into one bit
+    for x in out_offsets:
+        a_row |= 1 << (x % n)
     b_row = 0
-    for y in spec.in_offsets:
-        b_row |= 1 << y
+    for y in in_offsets:
+        b_row |= 1 << (y % n)
     full = (1 << n) - 1
 
     def rot(mask: int, i: int) -> int:

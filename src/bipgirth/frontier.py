@@ -45,17 +45,6 @@ from typing import Iterator, Optional
 LARGE_K_START = 224539  # first k of the proved large-k range
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        a, b = self.alpha, self.beta
-        if not (0 <= a.numerator <= a.denominator and 0 <= b.numerator <= b.denominator):
-            raise ValueError(f"({self.alpha},{self.beta}) outside [0,1]^2")
-
-
 class Status(Enum):
     GOOD = "good"
     BAD = "bad"
@@ -93,16 +82,16 @@ class Verdict:
         return f"{self.status.value},{self.provenance}"
 
 
-def bad_pairs(k: int, t_max: int) -> list[AlphaBeta]:
+def bad_pairs(k: int, t_max: int) -> list[tuple[Fraction, Fraction]]:
     """Maximal bad pairs (t/(kt+1), 1/(kt+1)) and mirrors, t = 1..t_max."""
     if k < 1 or t_max < 1:
         raise ValueError("k and t_max must be positive")
     out = []
     for t in range(1, t_max + 1):
         n = k * t + 1
-        out.append(AlphaBeta(Fraction(t, n), Fraction(1, n)))
+        out.append((Fraction(t, n), Fraction(1, n)))
         if t > 1:
-            out.append(AlphaBeta(Fraction(1, n), Fraction(t, n)))
+            out.append((Fraction(1, n), Fraction(t, n)))
     return out
 
 
@@ -146,14 +135,16 @@ def _classify(k: int, x: int, y: int, d: int) -> Verdict:
     return _verdict("bad", None, mirror if mirrored else plain, mirrored)
 
 
-def classify(k: int, p: AlphaBeta) -> Verdict:
+def classify(k: int, alpha: Fraction, beta: Fraction) -> Verdict:
     """Good/Bad/Unknown verdict with provenance; Good and Bad are checked
-    against each other and may never both fire.  The point is put over the
-    lcm of its two denominators and decided in integers."""
+    against each other and may never both fire.  Each coordinate is read
+    through `as_integer_ratio()`, and the point is decided in integers."""
+    x, d = alpha.as_integer_ratio()
+    y, e = beta.as_integer_ratio()
+    if not (0 <= x <= d and 0 <= y <= e):
+        raise ValueError(f"({alpha},{beta}) outside [0,1]^2")
     if k < 1:
         raise ValueError("k must be >= 1")
-    x, d = p.alpha.as_integer_ratio()
-    y, e = p.beta.as_integer_ratio()
     m = math.lcm(d, e)
     return _classify(k, x * (m // d), y * (m // e), m)
 
@@ -165,7 +156,7 @@ def region_grid(k: int, resolution: int) -> Iterator[tuple[Fraction, Fraction, V
     axis = [Fraction(i, resolution) for i in range(resolution + 1)]
     for a in axis:
         for b in axis:
-            yield a, b, classify(k, AlphaBeta(a, b))
+            yield a, b, classify(k, a, b)
 
 
 def region_csv(k: int, resolution: int) -> str:
@@ -198,8 +189,8 @@ def region_svg(k: int, resolution: int) -> str:
                  'stroke="black" stroke-dasharray="4" fill="none"/>')
     parts.append(f'<polyline points="{pt(0, 1 / k)} {pt(1, 0)}" '
                  'stroke="black" stroke-dasharray="4" fill="none"/>')
-    for p in bad_pairs(k, 6):
-        parts.append(f'<circle cx="{float(p.alpha) * size:.2f}" '
-                     f'cy="{size - float(p.beta) * size:.2f}" r="3" fill="black"/>')
+    for a, b in bad_pairs(k, 6):
+        parts.append(f'<circle cx="{float(a) * size:.2f}" '
+                     f'cy="{size - float(b) * size:.2f}" r="3" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

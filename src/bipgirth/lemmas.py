@@ -129,13 +129,6 @@ class NewineqInstance:
         raise ValueError(f"unknown case {case!r}")
 
 
-@dataclass(frozen=True)
-class FeasibleTriple:
-    p: Real
-    q: Real
-    r: Real
-
-
 def _f_int(inst: NewineqInstance, P: int, Q: int, R: int, E: int) -> tuple[int, int]:
     """f at the triple (P/E, Q/E, R/E), E > 0, as (num, den), once the triple
     is certified feasible; raises `InfeasibleTriple` otherwise."""
@@ -152,9 +145,10 @@ def _f_int(inst: NewineqInstance, P: int, Q: int, R: int, E: int) -> tuple[int, 
     return X * U * U + D * D * ((Y - X) * Q * Q + (D - Y) * R * R), D ** 3 * E * E
 
 
-def f_value(inst: NewineqInstance, t: FeasibleTriple) -> Real:
-    """x(p-gamma)^2 + (y-x)q^2 + (1-y)r^2, in exact rationals."""
-    (P, Q, R), E = _over_lcm((t.p, t.q, t.r))
+def f_value(inst: NewineqInstance, p: Real, q: Real, r: Real) -> Real:
+    """x(p-gamma)^2 + (y-x)q^2 + (1-y)r^2, in exact rationals; raises
+    `InfeasibleTriple` unless the triple (p, q, r) is feasible."""
+    (P, Q, R), E = _over_lcm((p, q, r))
     return Fraction(*_f_int(inst, P, Q, R, E))
 
 

@@ -56,9 +56,9 @@ from bipgirth.digraph import (
     general_from_edges,
     girth,
 )
-from bipgirth.frontier import LARGE_K_START, AlphaBeta, BadWitness, Status, Verdict
+from bipgirth.frontier import LARGE_K_START, BadWitness, Status, Verdict
 from bipgirth.errors import CaseNotApplicable, InfeasibleTriple
-from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport, FeasibleTriple
+from bipgirth.lemmas import DELTA3, DELTA4, DELTA12, FactReport
 from bipgirth.search import SearchStatus, _Rows
 
 
@@ -762,11 +762,10 @@ def reference_classify(k: int, a: Fraction, b: Fraction):
     return "unknown", None, None
 
 
-def _good_rule(k: int, p: AlphaBeta) -> Optional[str]:
+def _good_rule(k: int, a: Fraction, b: Fraction) -> Optional[str]:
     """First proved rule forcing girth <= 2k' for some k' <= k, else None.
 
     All rules require both coordinates positive (the theorems' hypotheses)."""
-    a, b = p.alpha, p.beta
     if a == 0 or b == 0:
         return None
     if a + b > 1:
@@ -787,8 +786,7 @@ def _good_rule(k: int, p: AlphaBeta) -> Optional[str]:
     return None
 
 
-def _bad_witness(k: int, p: AlphaBeta) -> Optional[BadWitness]:
-    a, b = p.alpha, p.beta
+def _bad_witness(k: int, a: Fraction, b: Fraction) -> Optional[BadWitness]:
     if a == 0 or b == 0:
         return BadWitness(t=None)
     # only t with 1/(kt+1) >= min(a,b) can dominate the point
@@ -803,13 +801,12 @@ def _bad_witness(k: int, p: AlphaBeta) -> Optional[BadWitness]:
 
 
 def loop_classify(k: int, a: Fraction, b: Fraction) -> Verdict:
-    """The `Verdict` of `frontier.classify(k, (a, b))` by the former kernel:
+    """The `Verdict` of `frontier.classify(k, a, b)` by the former kernel:
     the rules compared as `Fraction`s and the bad witness found by trying
     every t in turn, plain before mirrored."""
-    p = AlphaBeta(a, b)
-    rule = _good_rule(k, p)
-    witness = _bad_witness(k, p)
-    assert not (rule and witness), f"point {p} derivable both Good and Bad"
+    rule = _good_rule(k, a, b)
+    witness = _bad_witness(k, a, b)
+    assert not (rule and witness), f"point ({a},{b}) derivable both Good and Bad"
     if rule:
         return Verdict(Status.GOOD, rule=rule)
     if witness:
@@ -846,22 +843,22 @@ def fraction_eligible(inst, case: str) -> bool:
     raise ValueError(f"unknown case {case!r}")
 
 
-def _check_feasible(inst, t) -> None:
-    if t.p < 0 or t.q < 0 or t.r < 0:
+def _check_feasible(inst, p, q, r) -> None:
+    if p < 0 or q < 0 or r < 0:
         raise InfeasibleTriple("p, q, r must be nonnegative")
-    head = t.p * inst.x + t.q * (inst.y - inst.x)
-    total = head + t.r * (1 - inst.y)
+    head = p * inst.x + q * (inst.y - inst.x)
+    total = head + r * (1 - inst.y)
     if total != inst.beta:
         raise InfeasibleTriple(f"weights sum to {total}, expected {inst.beta}")
     if head < inst.mu:
         raise InfeasibleTriple(f"px+q(y-x) = {head} below mu = {inst.mu}")
 
 
-def fraction_f_value(inst, t):
+def fraction_f_value(inst, p, q, r):
     """x(p-gamma)^2 + (y-x)q^2 + (1-y)r^2, in exact rationals."""
-    _check_feasible(inst, t)
+    _check_feasible(inst, p, q, r)
     x, y, g = inst.x, inst.y, inst.gamma
-    return x * (t.p - g) ** 2 + (y - x) * t.q ** 2 + (1 - y) * t.r ** 2
+    return x * (p - g) ** 2 + (y - x) * q ** 2 + (1 - y) * r ** 2
 
 
 def fraction_bound(inst, case: str):
@@ -884,12 +881,12 @@ def fraction_min_oracle(inst) -> Optional[Fraction]:
         return None
     c = b - x * g
     if c <= 0:
-        t = FeasibleTriple(b / x if x else Fraction(0), 0, 0)
+        t = (b / x if x else Fraction(0), 0, 0)
     elif x * g + y * c >= m:
-        t = FeasibleTriple(g + c, c, c)
+        t = (g + c, c, c)
     elif y == 0:
         return None
     else:
         h = (m - x * g) / y
-        t = FeasibleTriple(g + h, h, (b - m) / (1 - y))
-    return fraction_f_value(inst, t)
+        t = (g + h, h, (b - m) / (1 - y))
+    return fraction_f_value(inst, *t)

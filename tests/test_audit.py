@@ -8,6 +8,7 @@ from bipgirth.audit import AuditEntry, audit_bigindeg, audit_bigset
 from bipgirth.constructions import circulant
 from bipgirth.digraph import A, B, BipartiteDigraph, backward_layers
 from bipgirth.errors import IndexOutOfRange, PreconditionViolated
+from bipgirth.lemmas import DELTA12
 
 from oracles import count_calls, random_bipartite
 
@@ -37,6 +38,18 @@ def test_bigset_checks_delta_before_the_girth():
     with count_calls(audit, "girth") as searches:
         assert audit_bigset(g, 3, fifth, fifth, Fraction(9, 4), A(0)).entries
     assert searches[0] == 1
+
+
+def test_bigset_marks_a_claimed_only_delta():
+    # DELTA12 at k = 6 is claimed, not proved: the audit still runs, and its
+    # detail says so; a proved delta of the same table gets no mark
+    g, seventh = circulant(6, 1, 1), Fraction(1, 7)
+    claimed = audit_bigset(g, 6, seventh, seventh, DELTA12, A(0))
+    assert claimed.passed
+    assert claimed.detail == "v=A0, k=6, delta=5219/1000 (claimed only)"
+    proved = audit_bigset(g, 6, seventh, seventh, Fraction(9, 2), A(0))
+    assert proved.passed
+    assert proved.detail == "v=A0, k=6, delta=9/2"
 
 
 def test_bigindeg_totals_are_backward_layer_sizes():

@@ -239,6 +239,16 @@ class TestAudit:
         assert blob["kind"] == "bigset"
         assert blob["passed"] is True
 
+    def test_bigset_claimed_only_delta(self, tmp_path, capsys):
+        path = tmp_path / "c6.txt"
+        path.write_text(to_edge_list(circulant(6, 1, 1)))
+        rc = main(["audit", "bigset", str(path), "--k", "6", "--alpha", "1/7",
+                   "--beta", "1/7", "--delta", "5219/1000", "--vertex", "A0"])
+        assert rc == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["passed"] is True
+        assert blob["detail"] == "v=A0, k=6, delta=5219/1000 (claimed only)"
+
     def test_bigset_missing_flags(self, six_cycle_file, capsys):
         rc = main(["audit", "bigset", six_cycle_file])
         assert rc == 1
@@ -405,12 +415,16 @@ class TestMalformedInput:
          "error: argument --seed: '-2' is not a nonnegative integer"),
         (["lemmas", "--stress", "newineq", "--seed", "-7"],
          "error: argument --seed: '-7' is not a nonnegative integer"),
+        (["classify", "--k", "2", "--alpha", "3/2", "--beta", "1/3"],
+         "error: (3/2,1/3) outside [0,1]^2"),
+        (["construct", "offset", "--n", "0", "--out-offsets", "0", "--in-offsets", "1"],
+         "error: n must be positive"),
     ], ids=["extra_token", "arabic_digit", "negative_max", "lemmas_count",
             "bells_options", "bigindeg_vertex", "bigindeg_horizon", "audit_no_kind",
             "arabic_k", "arabic_alpha",
             "underscore_k", "arabic_count", "search_seed", "random_eulerian",
             "negative_search_seed", "negative_construct_seed",
-            "negative_stress_seed"])
+            "negative_stress_seed", "classify_range", "offset_n_zero"])
     def test_message_names_the_cause(self, argv, message, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys) == message
 

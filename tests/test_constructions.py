@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from bipgirth.constructions import (
-    OffsetSpec,
     ch_reduce,
     circulant,
     layered_cycle,
@@ -79,19 +78,16 @@ class TestOffsetCirculant:
     def test_matches_circulant(self):
         # the plain circulant is the offset instance with interval offsets
         g = circulant(2, 2, 1)
-        spec = OffsetSpec(5, frozenset([0, 1]), frozenset([1]))
-        assert offset_circulant(spec) == g
+        assert offset_circulant(5, [0, 1], [1]) == g
         for k, s, t in itertools.product(range(1, 6), repeat=3):
             assert circulant(k, s, t) == reference_circulant(k, s, t)
 
     def test_offsets_reduced_mod_n(self):
-        spec = OffsetSpec(5, frozenset([7]), frozenset([-1]))
-        assert spec.out_offsets == frozenset([2])
-        assert spec.in_offsets == frozenset([4])
+        # 7 and 2 are one offset mod 5: their bits OR, they do not add
+        assert offset_circulant(5, [7, 2], [-1]) == offset_circulant(5, [2], [4])
 
     def test_regularity(self):
-        spec = OffsetSpec(7, frozenset([0, 2, 3]), frozenset([1, 5]))
-        g = offset_circulant(spec)
+        g = offset_circulant(7, [0, 2, 3], [1, 5])
         assert all(m.bit_count() == 3 for m in g.a_out)
         assert all(m.bit_count() == 2 for m in g.b_out)
         # vertex-transitive, so in-degree equals out-degree per side

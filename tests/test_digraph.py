@@ -24,7 +24,6 @@ from bipgirth.digraph import (
 )
 from bipgirth import digraph
 from bipgirth.constructions import (
-    OffsetSpec,
     ch_reduce,
     circulant,
     layered_cycle,
@@ -499,8 +498,7 @@ class TestDistancePower:
             distance_power(six_cycle(), 2)
 
     def test_ten_cycle_d3(self):
-        spec = OffsetSpec(5, frozenset([0]), frozenset([1]))
-        g = offset_circulant(spec)  # a 10-cycle
+        g = offset_circulant(5, [0], [1])  # a 10-cycle
         assert girth(g).length == 10
         h = distance_power(g, 3)
         # each b_i gains the edge to a_{i+2}

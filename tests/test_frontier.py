@@ -10,7 +10,6 @@ from bipgirth.digraph import compliance_profile, girth
 from bipgirth import frontier
 from bipgirth.frontier import (
     LARGE_K_START,
-    AlphaBeta,
     BadWitness,
     Status,
     bad_pairs,
@@ -25,18 +24,27 @@ def F(p, q=1):
     return Fraction(p, q)
 
 
-class TestAlphaBeta:
+class TestRange:
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            AlphaBeta(F(3, 2), F(0))
+        with pytest.raises(ValueError, match=re.escape("(3/2,0) outside [0,1]^2")):
+            classify(2, F(3, 2), F(0))
+        # the range is checked before k
+        with pytest.raises(ValueError, match=re.escape("(3/2,1/3) outside [0,1]^2")):
+            classify(0, F(3, 2), F(1, 3))
+
+    def test_float_read_exactly(self):
+        # through as_integer_ratio: 0.1 is 3602879701896397/2^55, not 1/10
+        assert classify(2, 0.5, 0.25) == classify(2, F(1, 2), F(1, 4))
+        assert classify(1, 0.1, 0.9) == classify(1, Fraction(0.1), Fraction(0.9))
+        assert classify(1, 0.1, 0.9) != classify(1, F(1, 10), F(9, 10))
 
 
 class TestBadPairs:
     def test_k2_values(self):
         pairs = bad_pairs(2, 2)
-        assert AlphaBeta(F(1, 3), F(1, 3)) in pairs
-        assert AlphaBeta(F(2, 5), F(1, 5)) in pairs
-        assert AlphaBeta(F(1, 5), F(2, 5)) in pairs
+        assert (F(1, 3), F(1, 3)) in pairs
+        assert (F(2, 5), F(1, 5)) in pairs
+        assert (F(1, 5), F(2, 5)) in pairs
 
     def test_t1_not_duplicated(self):
         assert len(bad_pairs(3, 1)) == 1
@@ -53,42 +61,42 @@ class TestBadPairs:
 
 class TestClassify:
     def test_bad_one_third(self):
-        v = classify(2, AlphaBeta(F(1, 3), F(1, 3)))
+        v = classify(2, F(1, 3), F(1, 3))
         assert v.status is Status.BAD
         assert v.witness == BadWitness(t=1)
         assert v.provenance == "witness:t=1"
 
     def test_mirrored_witness(self):
-        v = classify(2, AlphaBeta(F(1, 5), F(2, 5)))
+        v = classify(2, F(1, 5), F(2, 5))
         assert v.status is Status.BAD
         assert v.witness.mirrored
 
     def test_axis_witness(self):
-        v = classify(2, AlphaBeta(F(1), F(0)))
+        v = classify(2, F(1), F(0))
         assert v.status is Status.BAD
         assert v.witness.t is None
 
     def test_good_rules(self):
-        assert classify(1, AlphaBeta(F(3, 5), F(3, 5))).rule.startswith("k'=1")
-        assert classify(2, AlphaBeta(F(2, 5), F(1, 4))).rule.startswith("k'=2")
-        assert classify(3, AlphaBeta(F(3, 10), F(27, 100))).rule.startswith("k'=3")
-        assert classify(4, AlphaBeta(F(22, 100), F(20, 100))).rule.startswith("k'=4")
-        assert classify(6, AlphaBeta(F(1, 6), F(1, 6))).rule.startswith("k'=6")
+        assert classify(1, F(3, 5), F(3, 5)).rule.startswith("k'=1")
+        assert classify(2, F(2, 5), F(1, 4)).rule.startswith("k'=2")
+        assert classify(3, F(3, 10), F(27, 100)).rule.startswith("k'=3")
+        assert classify(4, F(22, 100), F(20, 100)).rule.startswith("k'=4")
+        assert classify(6, F(1, 6), F(1, 6)).rule.startswith("k'=6")
 
     def test_large_k_rule(self):
         k = LARGE_K_START
-        v = classify(k, AlphaBeta(F(1, k), F(1, k)))
+        v = classify(k, F(1, k), F(1, k))
         assert v.status is Status.GOOD
         # at k-1 the same point coincides with the t=1 bad pair
-        v2 = classify(k - 1, AlphaBeta(F(1, k), F(1, k)))
+        v2 = classify(k - 1, F(1, k), F(1, k))
         assert v2.status is Status.BAD
         # just inside the diagonal at k-1 nothing proved applies
-        v3 = classify(k - 1, AlphaBeta(F(1, k - 1), F(1, k - 1)))
+        v3 = classify(k - 1, F(1, k - 1), F(1, k - 1))
         assert v3.status is Status.UNKNOWN
 
     def test_unknown_point(self):
         # 2a+b = 190/200 here, short of 1
-        v = classify(2, AlphaBeta(F(9, 25), F(23, 100)))
+        v = classify(2, F(9, 25), F(23, 100))
         assert v.status is Status.UNKNOWN
         assert v.provenance == ""
 
@@ -99,7 +107,7 @@ class TestClassify:
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            classify(0, AlphaBeta(F(1, 2), F(1, 2)))
+            classify(0, F(1, 2), F(1, 2))
 
 
 def _key(v):
@@ -111,7 +119,7 @@ def _key(v):
 def _agrees(k, a, b):
     """classify at (a, b) against the former loop kernel, verdict for
     verdict, and against the closed-form reference."""
-    v = classify(k, AlphaBeta(a, b))
+    v = classify(k, a, b)
     assert v == oracles.loop_classify(k, a, b), (k, a, b)
     assert _key(v) == oracles.reference_classify(k, a, b), (k, a, b)
 
@@ -160,8 +168,7 @@ def test_region_csv_matches_loop_kernel(k, resolution):
 
 def test_region_svg_matches_loop_kernel(monkeypatch):
     svg = region_svg(2, 40)
-    monkeypatch.setattr(frontier, "classify",
-                        lambda k, p: oracles.loop_classify(k, p.alpha, p.beta))
+    monkeypatch.setattr(frontier, "classify", oracles.loop_classify)
     assert svg == region_svg(2, 40)
 
 

@@ -25,7 +25,6 @@ from bipgirth.lemmas import (
     DELTA3,
     DELTA4,
     CheckReport,
-    FeasibleTriple,
     IneqParams,
     NewineqInstance,
     all_fact_ids,
@@ -127,18 +126,18 @@ class TestNewineqInstance:
 class TestFValue:
     def test_collapses_to_square(self):
         inst = NewineqInstance(1, 1, F(1, 5), 0, 0)
-        assert f_value(inst, FeasibleTriple(F(1, 5), 0, 0)) == F(1, 25)
+        assert f_value(inst, F(1, 5), 0, 0) == F(1, 25)
 
     def test_single_active_term(self):
         inst = NewineqInstance(0, 1, F(3, 10), 0, 0)
-        assert f_value(inst, FeasibleTriple(0, F(3, 10), 0)) == F(9, 100)
+        assert f_value(inst, 0, F(3, 10), 0) == F(9, 100)
 
     def test_infeasible_rejected(self):
         inst = NewineqInstance(1, 1, F(1, 5), 0, 0)
         with pytest.raises(InfeasibleTriple):
-            f_value(inst, FeasibleTriple(F(1, 2), 0, 0))
+            f_value(inst, F(1, 2), 0, 0)
         with pytest.raises(InfeasibleTriple):
-            f_value(inst, FeasibleTriple(F(1, 5), -1, 0))
+            f_value(inst, F(1, 5), -1, 0)
 
     def test_bigk_instance_expansion(self):
         # the large-k substitution evaluated at its stationary triple
@@ -234,14 +233,13 @@ class TestOracle:
         grid = [F(i, 6) for i in range(7)]
         for _ in range(3000):
             x, y = sorted(rng.choice(grid) for _ in range(2))
-            t = FeasibleTriple(*(F(rng.randint(0, 12), rng.randint(1, 6))
-                                 for _ in range(3)))
-            head = x * t.p + (y - x) * t.q
-            beta = head + (1 - y) * t.r
+            p, q, r = (F(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(3))
+            head = x * p + (y - x) * q
+            beta = head + (1 - y) * r
             inst = NewineqInstance(x, y, beta, F(rng.randint(0, 12), 6),
                                    head * F(rng.randint(0, 4), 4))
             low = newineq_min_oracle(inst)
-            assert low is not None and f_value(inst, t) >= low
+            assert low is not None and f_value(inst, p, q, r) >= low
 
     def test_planted_overstated_bound_is_caught(self, monkeypatch):
         exact = lemmas.newineq_bound
@@ -272,7 +270,8 @@ class TestIntegerKernel:
             assert (_outcome(newineq_bound, inst, case)
                     == _outcome(oracles.fraction_bound, inst, case))
         for t in triples:
-            assert _outcome(f_value, inst, t) == _outcome(oracles.fraction_f_value, inst, t)
+            assert (_outcome(f_value, inst, *t)
+                    == _outcome(oracles.fraction_f_value, inst, *t))
 
     @pytest.mark.parametrize("case", ["a", "b", "c"])
     def test_seeded_instances(self, case):
@@ -288,7 +287,7 @@ class TestIntegerKernel:
         for x, y, beta, gamma, mu in itertools.product(grid, repeat=5):
             if y >= x:
                 inst = NewineqInstance(x, y, beta, gamma, mu)
-                self.check(inst, [FeasibleTriple(beta, 0, 0), FeasibleTriple(*grid[1:4])])
+                self.check(inst, [(beta, 0, 0), grid[1:4]])
                 eligible.update(case for case in "abc" if inst.eligible(case))
         assert eligible == {"a", "b", "c"}
 
@@ -302,29 +301,29 @@ class TestIntegerKernel:
 
         for _ in range(1500):
             x, y = sorted((draw(1), draw(1)))
-            t = FeasibleTriple(draw(2), draw(2), draw(2))
-            head = x * t.p + (y - x) * t.q
-            beta = head + (1 - y) * t.r
+            t = p, q, r = draw(2), draw(2), draw(2)
+            head = x * p + (y - x) * q
+            beta = head + (1 - y) * r
             inst = NewineqInstance(x, y, beta, draw(2), head * F(rng.randint(0, 5), 4))
-            self.check(inst, [t, FeasibleTriple(draw(2), draw(2), draw(2))])
+            self.check(inst, [t, (draw(2), draw(2), draw(2))])
             self.check(NewineqInstance(x, y, draw(2), draw(2), draw(2)), [t])
 
     def test_planted_weight_sum_off_by_1e18(self):
         x, y = F(2, 7), F(5, 9)
-        t = FeasibleTriple(F(4, 3), F(6, 11), F(2, 13))
-        beta = x * t.p + (y - x) * t.q + (1 - y) * t.r
-        assert f_value(NewineqInstance(x, y, beta, F(1, 3), 0), t) >= 0
+        t = p, q, r = F(4, 3), F(6, 11), F(2, 13)
+        beta = x * p + (y - x) * q + (1 - y) * r
+        assert f_value(NewineqInstance(x, y, beta, F(1, 3), 0), *t) >= 0
         with pytest.raises(InfeasibleTriple, match="weights sum"):
-            f_value(NewineqInstance(x, y, beta - F(1, 10 ** 18), F(1, 3), 0), t)
+            f_value(NewineqInstance(x, y, beta - F(1, 10 ** 18), F(1, 3), 0), *t)
 
     def test_planted_head_short_of_mu_by_1e18(self):
         x, y = F(2, 7), F(5, 9)
-        t = FeasibleTriple(F(4, 3), F(6, 11), F(2, 13))
-        head = x * t.p + (y - x) * t.q
-        beta = head + (1 - y) * t.r
-        assert f_value(NewineqInstance(x, y, beta, F(1, 3), head), t) >= 0
+        t = p, q, r = F(4, 3), F(6, 11), F(2, 13)
+        head = x * p + (y - x) * q
+        beta = head + (1 - y) * r
+        assert f_value(NewineqInstance(x, y, beta, F(1, 3), head), *t) >= 0
         with pytest.raises(InfeasibleTriple, match="below mu"):
-            f_value(NewineqInstance(x, y, beta, F(1, 3), head + F(1, 10 ** 18)), t)
+            f_value(NewineqInstance(x, y, beta, F(1, 3), head + F(1, 10 ** 18)), *t)
 
 
 class TestAppliedineq:

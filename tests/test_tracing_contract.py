@@ -75,11 +75,19 @@ def test_region_check_accepts_the_csv(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k, resolution", [(2, 2), (4, 7), (1, 30)])
-def test_region_grid_classifies_through_the_module(k, resolution):
-    # frontier.points_classified counts the calls to frontier.classify
-    with count_calls(frontier, "classify") as calls:
-        points = list(frontier.region_grid(k, resolution))
-    assert calls[0] == len(points) == (resolution + 1) ** 2
+def test_region_grid_classifies_through_the_module(monkeypatch, k, resolution):
+    # frontier.points_classified counts the calls to frontier.classify: one
+    # per point yielded, made with that point's k, alpha and beta
+    calls, classify = [], frontier.classify
+
+    def recorded(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(frontier, "classify", recorded)
+    points = list(frontier.region_grid(k, resolution))
+    assert len(points) == (resolution + 1) ** 2
+    assert calls == [(k, a, b) for a, b, _ in points]
 
 
 @pytest.mark.parametrize("count, seed", [(1, 0), (40, 20260823)])
