@@ -9,8 +9,12 @@ An option the chosen mode never reads is an error, checked in one place
 per mode: each `audit` kind's sub-parser declares only the options it
 reads, `_cmd_lemmas` and `_cmd_search` reject `--count` and `--seed`
 outside the mode that reads them, and `search.SearchConfig` rejects
-eulerian with the randomized mode.  `main` builds the parser once per
-process, on its first call.
+eulerian with the randomized mode.  Numbers are ASCII digits, and only
+`layers --max` and the `construct offset` residues take a minus sign.
+Rationals and seeds are nonnegative (`random.Random` takes a seed's
+absolute value, so a negative seed would repeat a positive one's stream),
+and counts are at least 1.  `main` builds the parser once per process, on
+its first call.
 """
 
 from __future__ import annotations
@@ -166,12 +170,7 @@ def _cmd_comply(args) -> int:
 
 def _cmd_classify(args) -> int:
     v = frontier.classify(args.k, args.alpha, args.beta)
-    if v.status is frontier.Status.GOOD:
-        print(f"GOOD rule=({v.rule})")
-    elif v.status is frontier.Status.BAD:
-        print(f"BAD witness=({v.witness})")
-    else:
-        print("UNKNOWN")
+    print(f"{v.status.name} {v.provenance}".rstrip())  # the region CSV's provenance
     return 0
 
 

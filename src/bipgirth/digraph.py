@@ -90,7 +90,8 @@ class BipartiteDigraph:
     b_out: tuple[int, ...]  # per B-vertex, bitmask over A
 
     def __post_init__(self):
-        assert len(self.a_out) == self.a_size and len(self.b_out) == self.b_size
+        if len(self.a_out) != self.a_size or len(self.b_out) != self.b_size:
+            raise ValueError("row counts differ from the side sizes")
 
     @property
     def edge_count(self) -> int:
@@ -135,7 +136,8 @@ class GeneralDigraph:
     out: tuple[int, ...]  # per vertex, bitmask over all vertices
 
     def __post_init__(self):
-        assert len(self.out) == self.n
+        if len(self.out) != self.n:
+            raise ValueError("row count differs from n")
         for i, m in enumerate(self.out):
             if m >> i & 1:
                 raise ValueError(f"loop at vertex {i}")

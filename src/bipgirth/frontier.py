@@ -1,10 +1,12 @@
 """Exact classification of compliance points into Good/Bad/Unknown.
 
 A point (alpha, beta) is Good at k when a proved theorem forces girth at
-most 2k' for some k' <= k; Bad when a circulant construction (or a
-degenerate zero-coordinate witness) complies with it and has girth more
-than 2k; Unknown otherwise.  The strictness of every rule matches the
-proved statement it encodes.
+most 2k' for some k' <= k; Bad when it has a zero coordinate (the axis
+witness) or is dominated by the point (t/n, s/n), n = k(s+t-1)+1, of a
+`circulant(k, s, t)` with s = 1 or t = 1, whose girth is more than 2k;
+Unknown otherwise.  So `classify(1, 3/5, 2/5)` is Unknown, though
+`circulant(1, 2, 3)` complies with it.  The strictness of every rule
+matches the proved statement it encodes.
 
 The point is decided in integers, in O(1) steps.  Written as (x/d, y/d),
 with d > 0 the lcm of its two denominators, each rule is compared with
@@ -22,15 +24,14 @@ its denominators cleared:
 A rule applies at k when k >= k' and both coordinates are positive (the
 theorems' hypotheses); the first that applies, in this order, names it.
 
-The bad pair (t/(kt+1), 1/(kt+1)) dominates the point when x(kt+1) <= td
-and y(kt+1) <= d.  The first bound reads t(d - kx) >= x: with x > 0 it
-can hold only when d > kx, and then it holds exactly from
+The pair (t/(kt+1), 1/(kt+1)) of `circulant(k, 1, t)` dominates the point
+when x(kt+1) <= td and y(kt+1) <= d.  The first bound reads t(d - kx) >= x:
+with x > 0 it can hold only when d > kx, and then it holds exactly from
 t = max(1, ceil(x/(d - kx))) on.  The second bound only gets harder as t
 grows, so if it fails at that least t it fails at every t the first
-bound allows: the least t is the only candidate to test.  The mirrored
-pair swaps x and y.  Among the witnesses the least t wins and, at equal
-t, the plain pair before the mirrored one.  A zero coordinate is
-dominated by the axis witness.
+bound allows: the least t is the only candidate to test.  The mirror
+`circulant(k, t, 1)` swaps x and y.  Among the witnesses the least n =
+kt+1 wins and, at equal n, `circulant(k, 1, t)` before its mirror.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class BadWitness:
-    t: Optional[int]      # None for the degenerate zero-coordinate witness
-    mirrored: bool = False  # True: witness pair is (1/(kt+1), t/(kt+1))
+    s: Optional[int]  # circulant(k, s, t); both None for the axis witness
+    t: Optional[int]
 
     def __str__(self) -> str:
-        if self.t is None:
-            return "axis"
-        return f"t={self.t}" + (",mirrored" if self.mirrored else "")
+        return "axis" if self.t is None else f"s={self.s},t={self.t}"
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,10 @@ def _least_t(k: int, x: int, y: int, d: int) -> Optional[int]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _verdict(status: str, rule: Optional[str] = None, t: Optional[int] = None,
-             mirrored: bool = False) -> Verdict:
+def _verdict(status: str, rule: Optional[str] = None, s: Optional[int] = None,
+             t: Optional[int] = None) -> Verdict:
     # keyed on the Status's value: hashing a Status is a Python call
-    witness = BadWitness(t, mirrored) if status == "bad" else None
+    witness = BadWitness(s, t) if status == "bad" else None
     return Verdict(Status(status), rule, witness)
 
 
@@ -126,13 +125,15 @@ def _classify(k: int, x: int, y: int, d: int) -> Verdict:
             else f"k'={k}: min(alpha,beta)>1/{k + 1}"
             if k >= LARGE_K_START and (k + 1) * min(x, y) > d else None)
     plain, mirror = _least_t(k, x, y, d), _least_t(k, y, x, d)
-    assert not (rule and (plain or mirror)), f"({x}/{d},{y}/{d}) both Good and Bad"
+    if rule and (plain or mirror):
+        raise RuntimeError(f"({x}/{d},{y}/{d}) both Good and Bad")
     if rule:
         return _verdict("good", rule)
     if plain is None and mirror is None:
         return _verdict("unknown")
-    mirrored = plain is None or mirror is not None and mirror < plain
-    return _verdict("bad", None, mirror if mirrored else plain, mirrored)
+    if plain is None or mirror is not None and mirror < plain:
+        return _verdict("bad", None, mirror, 1)
+    return _verdict("bad", None, 1, plain)
 
 
 def classify(k: int, alpha: Fraction, beta: Fraction) -> Verdict:

@@ -431,7 +431,8 @@ def threshold_k(r: int) -> int:
     s = math.isqrt(disc)
     above_root = -((b + s) // -4) + 1  # ceil((b+s)/4) + 1
     k = max(k_lo, above_root)
-    assert 2 * k * k + c > b * k, "threshold must satisfy the cleared inequality"
+    if 2 * k * k + c <= b * k:
+        raise RuntimeError("threshold must satisfy the cleared inequality")
     return k
 
 
@@ -658,7 +659,8 @@ def _run_ends(terms: Callable, p: int, q: int, points: range) -> list[int]:
         while values:
             coeffs.append(values[0])
             values = [b - a for a, b in zip(values, values[1:])]
-        assert coeffs[-1] == 0, f"a term above degree {_CAP} in n"
+        if coeffs[-1]:
+            raise AssertionError(f"a term above degree {_CAP} in n")
         while len(coeffs) > 1 and not coeffs[-1]:
             coeffs.pop()
         starts |= _flips(coeffs, points)

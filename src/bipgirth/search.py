@@ -345,9 +345,11 @@ def find_counterexample(cfg: SearchConfig) -> SearchReport:
 
     status, nodes, witness = _Enumerator(cfg).run()
     if witness is not None:
-        assert is_compliant(witness, cfg.alpha, cfg.beta)
+        if not is_compliant(witness, cfg.alpha, cfg.beta):
+            raise RuntimeError("the search's witness does not comply")
         gr = girth(witness)
-        assert gr is None or gr.length > 2 * cfg.k
+        if gr is not None and gr.length <= 2 * cfg.k:
+            raise RuntimeError(f"the search's witness has a {gr.length}-cycle")
     return SearchReport(status, witness, nodes, time.perf_counter() - start, cfg)
 
 

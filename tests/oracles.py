@@ -739,12 +739,13 @@ def _least_bad_t(k: int, x: Fraction, y: Fraction):
 
 
 def reference_classify(k: int, a: Fraction, b: Fraction):
-    """`frontier.classify(k, (a, b))` as (status, witness t, mirrored): the
+    """`frontier.classify(k, (a, b))` as (status, witness s, witness t): the
     paper's Good inequalities written out again, and the least bad t of each
-    orientation in closed form, the mirrored one winning only when its t is
-    strictly smaller.  Good and Unknown points give (status, None, None)."""
+    orientation in closed form, the mirrored one, circulant(k, t, 1), winning
+    only when its t is strictly smaller.  Good, Unknown and axis points give
+    (status, None, None)."""
     if a == 0 or b == 0:
-        return "bad", None, False
+        return "bad", None, None
     low = min(a, b)
     if (a + b > 1
             or k >= 2 and (2 * a + b > 1 or a + 2 * b > 1)
@@ -756,9 +757,9 @@ def reference_classify(k: int, a: Fraction, b: Fraction):
     plain = _least_bad_t(k, a, b)
     mirror = _least_bad_t(k, b, a)
     if mirror is not None and (plain is None or mirror < plain):
-        return "bad", mirror, True
+        return "bad", mirror, 1
     if plain is not None:
-        return "bad", plain, False
+        return "bad", 1, plain
     return "unknown", None, None
 
 
@@ -788,15 +789,15 @@ def _good_rule(k: int, a: Fraction, b: Fraction) -> Optional[str]:
 
 def _bad_witness(k: int, a: Fraction, b: Fraction) -> Optional[BadWitness]:
     if a == 0 or b == 0:
-        return BadWitness(t=None)
+        return BadWitness(s=None, t=None)
     # only t with 1/(kt+1) >= min(a,b) can dominate the point
     t_bound = int((1 / min(a, b) - 1) // k)
     for t in range(1, t_bound + 1):
         n = k * t + 1
         if a <= Fraction(t, n) and b <= Fraction(1, n):
-            return BadWitness(t=t)
+            return BadWitness(s=1, t=t)
         if a <= Fraction(1, n) and b <= Fraction(t, n):
-            return BadWitness(t=t, mirrored=True)
+            return BadWitness(s=t, t=1)
     return None
 
 

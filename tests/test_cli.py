@@ -127,12 +127,12 @@ class TestClassify:
     def test_bad(self, capsys):
         rc = main(["classify", "--k", "2", "--alpha", "1/3", "--beta", "1/3"])
         assert rc == 0
-        assert capsys.readouterr().out.strip() == "BAD witness=(t=1)"
+        assert capsys.readouterr().out.strip() == "BAD witness:s=1,t=1"
 
     def test_good(self, capsys):
         rc = main(["classify", "--k", "2", "--alpha", "2/5", "--beta", "1/4"])
         assert rc == 0
-        assert capsys.readouterr().out.startswith("GOOD rule=(k'=2")
+        assert capsys.readouterr().out.startswith("GOOD rule:k'=2")
 
     def test_unknown(self, capsys):
         rc = main(["classify", "--k", "2", "--alpha", "9/25", "--beta", "23/100"])
@@ -143,7 +143,7 @@ class TestClassify:
         # the bad witness would need t near 500,000 here; it is found in closed form
         rc = main(["classify", "--k", "2", "--alpha", "1/2", "--beta", "1/1000000"])
         assert rc == 0
-        assert capsys.readouterr().out.strip() == "GOOD rule=(k'=2: 2*alpha+beta>1)"
+        assert capsys.readouterr().out.strip() == "GOOD rule:k'=2: 2*alpha+beta>1"
 
     def test_decimal_rejected(self, capsys):
         rc = main(["classify", "--k", "2", "--alpha", "0.4", "--beta", "1/4"])

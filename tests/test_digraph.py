@@ -160,6 +160,14 @@ class TestConstruction:
                         with pytest.raises(IndexOutOfRange):
                             from_edges(2, 3, [tuple(edge)])
 
+    def test_row_counts_must_match_sizes(self):
+        with pytest.raises(ValueError, match="row counts differ"):
+            BipartiteDigraph(2, 2, (0,), (0, 0))
+        with pytest.raises(ValueError, match="row counts differ"):
+            BipartiteDigraph(2, 2, (0, 0), (0, 0, 0))
+        with pytest.raises(ValueError, match="row count differs"):
+            GeneralDigraph(2, (0,))
+
     def test_general_rejects_loops(self):
         with pytest.raises(ValueError):
             general_from_edges(3, [(0, 0)])

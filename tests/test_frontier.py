@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from bipgirth.constructions import circulant
-from bipgirth.digraph import compliance_profile, girth
+from bipgirth.digraph import compliance_profile, girth, is_compliant
 from bipgirth import frontier
 from bipgirth.frontier import (
     LARGE_K_START,
@@ -63,18 +63,19 @@ class TestClassify:
     def test_bad_one_third(self):
         v = classify(2, F(1, 3), F(1, 3))
         assert v.status is Status.BAD
-        assert v.witness == BadWitness(t=1)
-        assert v.provenance == "witness:t=1"
+        assert v.witness == BadWitness(s=1, t=1)
+        assert v.provenance == "witness:s=1,t=1"
 
     def test_mirrored_witness(self):
         v = classify(2, F(1, 5), F(2, 5))
         assert v.status is Status.BAD
-        assert v.witness.mirrored
+        assert v.witness == BadWitness(s=2, t=1)
 
     def test_axis_witness(self):
         v = classify(2, F(1), F(0))
         assert v.status is Status.BAD
-        assert v.witness.t is None
+        assert v.witness == BadWitness(s=None, t=None)
+        assert v.provenance == "witness:axis"
 
     def test_good_rules(self):
         assert classify(1, F(3, 5), F(3, 5)).rule.startswith("k'=1")
@@ -105,15 +106,43 @@ class TestClassify:
             for _a, _b, v in region_grid(k, 30):
                 assert not (v.rule and v.witness)
 
+    def test_good_and_bad_check_raises(self, monkeypatch):
+        monkeypatch.setattr(frontier, "_least_t", lambda k, x, y, d: 1)
+        with pytest.raises(RuntimeError, match=re.escape("(8/20,5/20) both Good and Bad")):
+            classify(2, F(2, 5), F(1, 4))
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             classify(0, F(1, 2), F(1, 2))
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_circulant_family_is_bad(k):
+    # every circulant(k, s, t) point (t/n, s/n) is BAD; k = 1 is left out, as
+    # most of its points are dominated by no s = 1 or t = 1 pair (UNKNOWN)
+    for s in range(1, 41):
+        for t in range(1, 41):
+            n = k * (s + t - 1) + 1
+            assert classify(k, F(t, n), F(s, n)).status is Status.BAD, (k, s, t)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_bad_cells_name_a_witness(k):
+    # the named circulant complies with the cell's point and has girth > 2k
+    built = {}
+    for a, b, v in region_grid(k, 40):
+        w = v.witness
+        if v.status is Status.BAD and w.t is not None:
+            if (w.s, w.t) not in built:
+                built[w.s, w.t] = g = circulant(k, w.s, w.t)
+                assert girth(g).length > 2 * k, (k, w)
+            assert is_compliant(built[w.s, w.t], a, b), (k, a, b, w)
+
+
 def _key(v):
     if v.witness is None:
         return v.status.value, None, None
-    return v.status.value, v.witness.t, v.witness.mirrored
+    return v.status.value, v.witness.s, v.witness.t
 
 
 def _agrees(k, a, b):

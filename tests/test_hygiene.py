@@ -1,7 +1,8 @@
 """Hygiene gate over the package source, read with `ast` only: no module
 imports a name it never uses, no `def` has a parameter its body never
-reads (`self`, `cls` and names starting with `_` are exempt), and no
-module-level `_` name goes unread by the rest of the package."""
+reads (`self`, `cls` and names starting with `_` are exempt), no
+module-level `_` name goes unread by the rest of the package, and no
+`assert` statement stands in for a check (`python -O` drops it)."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,11 @@ def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
             and not any(private in reads for _, other, reads in statements if other is not node)]
 
 
+def assert_statements(tree: ast.Module) -> list[str]:
+    return [f"line {line}" for line in sorted(
+        n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert))]
+
+
 def test_detectors_fire():
     tree = ast.parse("import os\nfrom typing import Optional\n"
                      "def f(x, y, _z, *rest):\n    return x\n"
@@ -86,6 +92,9 @@ def test_detectors_fire():
                                  "class _C:\n    pass\n__version__ = '1'\n"),
                "n.py": ast.parse("from m import _C\n")}
     assert unread_private_names(package) == ["m.py: _B (line 2)", "m.py: _f (line 3)"]
+    assert assert_statements(ast.parse("def f(x):\n    assert x, 'no'\n    if not x:\n"
+                                       "        raise AssertionError\nassert f\n")) == [
+        "line 2", "line 5"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -96,6 +105,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_no_assert_statements():
+    assert {name: assert_statements(tree) for name, tree in PACKAGE.items()
+            if assert_statements(tree)} == {}
 
 
 def test_no_unread_private_names():

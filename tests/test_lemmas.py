@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -427,6 +428,12 @@ class TestThreshold:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             threshold_k(-1)
+
+    def test_check_raises(self, monkeypatch):
+        # an isqrt of 0 puts k = 6 below the root at r = 1
+        monkeypatch.setattr(lemmas, "math", types.SimpleNamespace(isqrt=lambda n: 0))
+        with pytest.raises(RuntimeError, match="cleared inequality"):
+            threshold_k(1)
 
 
 class TestBigkSimplify:

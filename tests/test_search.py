@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from bipgirth.constructions import circulant, layered_cycle
-from bipgirth.digraph import BipartiteDigraph, girth, is_compliant
+from bipgirth import search
+from bipgirth.digraph import A, B, BipartiteDigraph, Girth, girth, is_compliant
 from bipgirth.errors import InfeasibleConfig
 from bipgirth.search import (
     SearchConfig,
@@ -189,6 +190,17 @@ class TestFindCounterexample:
         assert is_compliant(g, F(1, 3), F(1, 3))
         gr = girth(g)
         assert gr is None or gr.length > 4
+
+    def test_witness_checks_raise(self, monkeypatch):
+        # the checks are explicit raises, so they hold under `python -O` too
+        cfg = SearchConfig(3, 3, 2, F(1, 3), F(1, 3))
+        with monkeypatch.context() as m:
+            m.setattr(search, "girth", lambda g: Girth(2, (A(0), B(0))))
+            with pytest.raises(RuntimeError, match="has a 2-cycle"):
+                find_counterexample(cfg)
+        monkeypatch.setattr(search, "is_compliant", lambda g, a, b: False)
+        with pytest.raises(RuntimeError, match="does not comply"):
+            find_counterexample(cfg)
 
     def test_exhausted_above_threshold(self):
         cfg = SearchConfig(3, 3, 2, F(2, 3), F(2, 3))
