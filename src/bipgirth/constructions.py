@@ -24,22 +24,12 @@ def layered_cycle(k: int, t: int) -> BipartiteDigraph:
     """
     if k < 1 or t < 1:
         raise ValueError("k and t must be positive")
-    classes = 2 * k + 2
     side_size = (k + 1) * t
-    # class c (0-based) -> side A if c even, B if c odd; block c//2 of that side
-    def class_mask(c: int) -> int:
-        base = (c // 2) * t
-        return ((1 << t) - 1) << base
-
-    a_out = [0] * side_size
-    b_out = [0] * side_size
-    for c in range(classes):
-        target = class_mask((c + 1) % classes)
-        base = (c // 2) * t
-        rows = a_out if c % 2 == 0 else b_out
-        for v in range(base, base + t):
-            rows[v] = target
-    return BipartiteDigraph(side_size, side_size, tuple(a_out), tuple(b_out))
+    block = (1 << t) - 1
+    # A-block b -> B-block b -> A-block (b+1) mod (k+1), each join complete
+    a_out = tuple(block << t * (v // t) for v in range(side_size))
+    b_out = tuple(block << t * ((v // t + 1) % (k + 1)) for v in range(side_size))
+    return BipartiteDigraph(side_size, side_size, a_out, b_out)
 
 
 def circulant(k: int, s: int, t: int) -> BipartiteDigraph:

@@ -97,13 +97,11 @@ class BipartiteDigraph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.a_out) + sum(m.bit_count() for m in self.b_out)
 
-    def out_mask(self, v: VertexRef) -> int:
-        return self.a_out[v.index] if v.side is Side.A else self.b_out[v.index]
-
     def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
         if u.side is v.side:
             return False
-        return bool(self.out_mask(u) >> v.index & 1)
+        row = self.a_out if u.side is Side.A else self.b_out
+        return bool(row[u.index] >> v.index & 1)
 
     def edges(self) -> Iterator[tuple[VertexRef, VertexRef]]:
         for i, m in enumerate(self.a_out):

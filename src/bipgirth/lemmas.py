@@ -418,17 +418,16 @@ def threshold_k(r: int) -> int:
     ceiling of (b + isqrt(D))/4 and the threshold sits strictly above it.
     This conservative rounding reproduces the stated thresholds exactly
     (r=0 -> 1, r=1 -> 8, r=74 -> 224539) in pure integer arithmetic; the
-    small-root branch is excluded by the k >= r(r+2) side condition.
+    small-root branch is excluded by the k >= r(r+2) side condition.  The
+    discriminant b^2 - 8c is r^2((r^2 + 8r - 8)^2 + 192r - 64): 0 at r = 0
+    and positive for r >= 1, so the real root always exists.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     b = r ** 3 + 8 * r * r + 8 * r
     c = 4 * (r + r * r) ** 2 + 4 * r * r
     k_lo = max(1, r * (r + 2))
-    disc = b * b - 8 * c
-    if disc < 0:
-        return k_lo  # the quadratic is positive everywhere
-    s = math.isqrt(disc)
+    s = math.isqrt(b * b - 8 * c)
     above_root = -((b + s) // -4) + 1  # ceil((b+s)/4) + 1
     k = max(k_lo, above_root)
     if 2 * k * k + c <= b * k:

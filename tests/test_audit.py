@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bipgirth import audit
 from bipgirth.audit import AuditEntry, audit_bigindeg, audit_bigset
 from bipgirth.constructions import circulant
-from bipgirth.digraph import A, B, BipartiteDigraph, backward_layers
+from bipgirth.digraph import A, B, BipartiteDigraph, backward_layers, from_edges
 from bipgirth.errors import IndexOutOfRange, PreconditionViolated
 from bipgirth.lemmas import DELTA12
 
@@ -26,6 +27,25 @@ def test_bigset_checks_the_vertex_before_the_girth():
     third = Fraction(1, 3)
     with pytest.raises(IndexOutOfRange, match="A9 out of range"):
         audit_bigset(circulant(2, 1, 1), 3, third, third, Fraction(9, 4), A(9))
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (Fraction(1, 3), "girth 6 is not more than 2k=6"),
+    (Fraction(1, 2), "not (alpha,beta)-compliant"),
+], ids=["girth", "compliance"])
+def test_bigset_preconditions(alpha, message):
+    # the six-cycle complies with (1/3, 1/3) and has girth 6, not above 2k at k = 3
+    with pytest.raises(PreconditionViolated, match=re.escape(message)):
+        audit_bigset(circulant(2, 1, 1), 3, alpha, Fraction(1, 3), Fraction(9, 4), A(0))
+
+
+@pytest.mark.parametrize("g, alpha, message", [
+    (from_edges(1, 1, [(A(0), B(0)), (B(0), A(0))]), Fraction(1), "girth 2 below four"),
+    (circulant(2, 1, 1), Fraction(1, 2), "not (alpha,beta)-compliant"),
+], ids=["two_cycle", "six_cycle"])
+def test_bigindeg_preconditions(g, alpha, message):
+    with pytest.raises(PreconditionViolated, match=re.escape(message)):
+        audit_bigindeg(g, alpha, alpha)
 
 
 def test_bigset_checks_delta_before_the_girth():

@@ -419,12 +419,18 @@ class TestMalformedInput:
          "error: (3/2,1/3) outside [0,1]^2"),
         (["construct", "offset", "--n", "0", "--out-offsets", "0", "--in-offsets", "1"],
          "error: n must be positive"),
+        (["audit", "bigset", "{six_cycle}", "--k", "3", "--alpha", "1/3", "--beta", "1/3",
+          "--delta", "9/4", "--vertex", "A0"], "error: girth 6 is not more than 2k=6"),
+        (["search", "--k", "2", "--na", "3", "--nb", "3", "--alpha", "2", "--beta", "1/3"],
+         "error: required degrees lie outside 0..side sizes"),
+        (["region", "--k", "2", "--resolution", "1"], "error: resolution must be >= 2"),
     ], ids=["extra_token", "arabic_digit", "negative_max", "lemmas_count",
             "bells_options", "bigindeg_vertex", "bigindeg_horizon", "audit_no_kind",
             "arabic_k", "arabic_alpha",
             "underscore_k", "arabic_count", "search_seed", "random_eulerian",
             "negative_search_seed", "negative_construct_seed",
-            "negative_stress_seed", "classify_range", "offset_n_zero"])
+            "negative_stress_seed", "classify_range", "offset_n_zero",
+            "bigset_girth", "search_degrees", "region_resolution"])
     def test_message_names_the_cause(self, argv, message, tmp_path, capsys):
         assert self.run(argv, tmp_path, capsys) == message
 

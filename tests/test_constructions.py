@@ -36,6 +36,19 @@ class TestLayeredCycle:
                 assert all(m.bit_count() == t for m in g.a_out + g.b_out)
                 assert girth(g).length == 2 * k + 2
 
+    def test_t1_is_the_directed_cycle(self):
+        for k in range(1, 11):
+            assert layered_cycle(k, 1) == circulant(k, 1, 1)
+
+    def test_blow_up_of_the_cycle(self):
+        # u -> v exactly when the t = 1 cycle has the edge between their blocks
+        for k, t in itertools.product(range(1, 4), range(1, 4)):
+            g, cycle = layered_cycle(k, t), layered_cycle(k, 1)
+            assert {(u.side, u.index, v.index) for u, v in g.edges()} == {
+                (u.side, i, j) for u, v in cycle.edges()
+                for i in range(u.index * t, (u.index + 1) * t)
+                for j in range(v.index * t, (v.index + 1) * t)}
+
     def test_min_degree_ratio(self):
         g = layered_cycle(4, 2)
         a, b = compliance_profile(g)

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bipgirth"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-PACKAGE = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+MODULES = sorted(SRC.glob("*.py"))
+PACKAGE = {p.name: ast.parse(p.read_text(), str(p)) for p in MODULES}
 
 
 def _loaded(nodes) -> set[str]:

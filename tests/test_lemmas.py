@@ -14,7 +14,7 @@ import oracles
 from bipgirth import lemmas
 from bipgirth.audit import audit_bells
 from bipgirth.constructions import circulant
-from bipgirth.digraph import B, Side, VertexRef, distance_power, from_edges
+from bipgirth.digraph import A, B, Side, VertexRef, distance_power, from_edges
 from bipgirth.errors import (
     BadEdgeSets,
     CaseNotApplicable,
@@ -353,6 +353,25 @@ class TestAppliedineq:
             appliedineq_check([(F(1, 4), F(1, 4))] * 4, params, [], range(4))
         assert exc.value.bullet == "bullet 2"
 
+    @pytest.mark.parametrize("samples, params, X, Y, bullet, message", [
+        ([], IneqParams(0, 1, 0, 0, 0, 0), [], [], "bullet 1", "empty sample set"),
+        ([(F(1, 4), F(1, 4))] * 4, IneqParams(0, 1, F(1, 4), 0, F(1, 4), F(1, 4)),
+         [0], range(4), "bullet 3", "|X| differs from x|B|"),
+        ([(F(1, 4), F(1, 4))] * 4, IneqParams(0, 1, F(1, 4), F(1, 4), F(1, 4), F(1, 4)),
+         [], range(4), "bullet 3", "a(v) below gamma+lambda off X"),
+        ([(F(1, 4), F(1, 4))] * 4, IneqParams(0, 1, F(1, 4), 0, F(1, 4), F(1, 4)),
+         [], range(3), "bullet 4", "|Y| differs from y|B|"),
+        ([(F(1, 4), F(1, 4))] * 4, IneqParams(0, 1, F(1, 4), 0, F(1, 4), F(1, 2)),
+         [], range(4), "bullet 4", "sum of b over Y below mu|B|"),
+        ([(F(1, 4), F(1, 4))] * 4, IneqParams(0, 1, F(1, 4), 0, F(1, 4), F(1, 8)),
+         [], range(4), "bullet 5", "parameter inequalities fail"),
+    ], ids=["empty", "x_size", "off_x", "y_size", "y_sum", "params"])
+    def test_planted_violation(self, samples, params, X, Y, bullet, message):
+        # each instance breaks one check; without it the check after it passes
+        with pytest.raises(HypothesisViolated, match=re.escape(message)) as exc:
+            appliedineq_check(samples, params, X, Y)
+        assert exc.value.bullet == bullet
+
     def test_random_stress(self):
         # hypothesis-satisfying instances never fail the conclusion
         rng = random.Random(43)
@@ -392,6 +411,46 @@ class TestBellsAndWhistles:
                 g, [(VertexRef(Side.A, 0), VertexRef(Side.B, 0))], [],
                 params, [], [B(0), B(1), B(2)])
 
+    def test_absent_edge(self):
+        # the six-cycle has b0 -> a1, not b0 -> a0
+        params = IneqParams(F(0), F(1), F(1, 3), F(0), F(1, 3), F(1, 3))
+        with pytest.raises(BadEdgeSets, match="not present in the digraph"):
+            bellsandwhistles_check(circulant(2, 1, 1), [(B(0), A(0))], [],
+                                   params, [], [B(0), B(1), B(2)])
+
+    @pytest.mark.parametrize("params, X, Y, bullet, message", [
+        ((0, 1, F(1, 3), 0, F(1, 3), F(1, 4)), [], [0, 1, 2],
+         "bullet 1", "parameter inequalities fail"),
+        ((0, 1, F(1, 2), 0, F(1, 3), F(1, 2)), [], [0, 1, 2],
+         "bullet 2", "A-vertex with out-degree below beta|B|"),
+        ((0, 1, F(1, 3), 0, F(1, 2), F(1, 3)), [], [0, 1, 2],
+         "bullet 4", "some a(v) below lambda"),
+        ((0, 1, F(1, 3), 0, F(1, 3), F(1, 3)), [0], [0, 1, 2],
+         "bullet 5", "|X| exceeds x|B|"),
+        ((0, 1, F(1, 3), F(1, 3), F(1, 3), F(1, 3)), [], [0, 1, 2],
+         "bullet 5", "a(v) below gamma+lambda off X"),
+        ((0, F(2, 3), F(1, 3), 0, F(1, 3), F(1, 3)), [], [0, 1, 2],
+         "bullet 6", "|Y| exceeds y|B|"),
+        ((0, 1, F(1, 3), 0, F(1, 3), F(1, 3)), [], [0, 1],
+         "bullet 6", "fewer than mu|A||B| edges head in Y"),
+    ], ids=["params", "out_degree", "lambda", "x_size", "off_x", "y_size", "y_heads"])
+    def test_planted_violation(self, params, X, Y, bullet, message):
+        # the six-cycle with R = S = its B->A edges; each instance breaks one
+        # check, and without it the checks after it pass or raise another
+        g = circulant(2, 1, 1)
+        edges = [(t, h) for t, h in g.edges() if t.side is Side.B]
+        with pytest.raises(HypothesisViolated, match=re.escape(message)) as exc:
+            bellsandwhistles_check(g, edges, edges, IneqParams(*params),
+                                   [B(j) for j in X], [B(j) for j in Y])
+        assert exc.value.bullet == bullet
+
+    def test_two_cycle(self):
+        g = from_edges(1, 1, [(A(0), B(0)), (B(0), A(0))])
+        edges = [(B(0), A(0))]
+        with pytest.raises(HypothesisViolated, match="girth below four") as exc:
+            bellsandwhistles_check(g, edges, edges, IneqParams(0, 1, 1, 0, 1, 1), [], [B(0)])
+        assert exc.value.bullet == "bullet 3"
+
     def test_mixed_four_cycle_guard(self):
         # a1->b1->a2->b2->a1 with the two B->A edges split across R and S
         g = from_edges(2, 2, [
@@ -411,6 +470,20 @@ class TestBellsAndWhistles:
         assert isinstance(rep, CheckReport)
 
 
+# threshold_k(0..100), as computed when the function still had a branch for a
+# negative discriminant
+THRESHOLDS = [
+    1, 8, 26, 57, 105, 173, 264, 380, 525, 702, 915, 1165, 1456, 1791, 2172, 2604,
+    3089, 3630, 4230, 4892, 5618, 6413, 7279, 8218, 9235, 10332, 11512, 12777, 14132,
+    15578, 17120, 18760, 20500, 22345, 24297, 26358, 28533, 30823, 33233, 35765, 38421,
+    41206, 44121, 47171, 50357, 53684, 57154, 60769, 64534, 68450, 72522, 76751, 81142,
+    85697, 90418, 95310, 100374, 105615, 111034, 116636, 122422, 128397, 134562, 140922,
+    147479, 154235, 161195, 168360, 175735, 183321, 191123, 199142, 207383, 215847,
+    224539, 233460, 242615, 252005, 261635, 271506, 281623, 291988, 302603, 313473,
+    324599, 335986, 347635, 359551, 371735, 384192, 396923, 409933, 423223, 436798,
+    450659, 464811, 479255, 493996, 509035, 524377, 540023]
+
+
 class TestThreshold:
     def test_headline(self):
         assert threshold_k(74) == 224539
@@ -428,6 +501,16 @@ class TestThreshold:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             threshold_k(-1)
+
+    def test_discriminant_is_never_negative(self):
+        # b^2 - 8c = r^2((r^2 + 8r - 8)^2 + 192r - 64), and 192r - 64 > 0 for r >= 1
+        for r in range(10 ** 4 + 1):
+            b = r ** 3 + 8 * r * r + 8 * r
+            c = 4 * (r + r * r) ** 2 + 4 * r * r
+            assert b * b - 8 * c == r * r * ((r * r + 8 * r - 8) ** 2 + 192 * r - 64)
+
+    def test_values_up_to_100(self):
+        assert [threshold_k(r) for r in range(101)] == THRESHOLDS
 
     def test_check_raises(self, monkeypatch):
         # an isqrt of 0 puts k = 6 below the root at r = 1
