@@ -79,13 +79,24 @@ def required_degrees(n_a: int, n_b: int, alpha: Fraction, beta: Fraction) -> tup
         raise NullDigraph(f"sides of sizes ({n_a},{n_b}) must both be nonempty")
     d_a = math.ceil(beta * n_b)
     d_b = math.ceil(alpha * n_a)
-    if not (0 <= d_a <= n_b and 0 <= d_b <= n_a):  # _draw_rows takes 0 <= d <= width
+    # `_sample_rows` takes 0 <= d <= width, by a rule its caller builds once a call or run
+    if not (0 <= d_a <= n_b and 0 <= d_b <= n_a):
         raise InfeasibleDegree(f"degrees ({d_a},{d_b}) lie outside 0..({n_b},{n_a})")
     return d_a, d_b
 
 
-def _draw_rows(n_a: int, n_b: int, d_a: int, d_b: int, seed: int):
-    """The seeded sample's bitmask rows, one at a time: A-rows, then B-rows.
+def _row_rule(width: int, d: int) -> tuple[list[tuple[int, int]], list[int] | None]:
+    """How `_sample_rows` picks d of width columns, built by its caller once
+    per call or run: the draws' steps (n, bits of n) with the column masks
+    of `random.sample`'s pool, or with None where `sample` keeps a set."""
+    if width > 21 + (4 ** math.ceil(math.log(d * 3, 4)) if d > 5 else 0):
+        return [(width, width.bit_length())] * d, None
+    steps = [(width - i, (width - i).bit_length()) for i in range(d)]
+    return steps, [1 << j for j in range(width)]
+
+
+def _sample_rows(bits, rule, count: int) -> list[int]:
+    """The next `count` bitmask rows that `bits` gives under `rule`.
 
     The stream is defined here: each row replays the selection rule of
     `random.sample(range(width), d)` over rejection draws of `getrandbits(k)`.
@@ -93,34 +104,26 @@ def _draw_rows(n_a: int, n_b: int, d_a: int, d_b: int, seed: int):
     from the stdlib, so a seed gives the same rows across Python versions
     that keep `sample` unchanged, and a later `sample` cannot change them.
     """
-    bits = random.Random(seed).getrandbits
-    for count, width, d in ((n_a, n_b, d_a), (n_b, n_a, d_b)):
-        setsize = 21 + (4 ** math.ceil(math.log(d * 3, 4)) if d > 5 else 0)
-        if width <= setsize:
-            # a pool of live column bits; the last live one fills the slot taken
-            steps = [(width - i, (width - i).bit_length()) for i in range(d)]
-            columns = [1 << j for j in range(width)]
-            for _ in range(count):
-                pool = columns[:]
-                m = 0
-                for n, k in steps:
+    steps, columns = rule
+    rows = []
+    for _ in range(count):
+        m = 0
+        if columns is None:  # redraw a column already taken, as `sample` does with its set
+            for n, k in steps:
+                r = bits(k)
+                while r >= n or m >> r & 1:
                     r = bits(k)
-                    while r >= n:
-                        r = bits(k)
-                    m |= pool[r]
-                    pool[r] = pool[n - 1]
-                yield m
-        else:
-            # redraw a column already taken, as `sample` does with its set
-            k = width.bit_length()
-            for _ in range(count):
-                m = 0
-                for _ in range(d):
+                m |= 1 << r
+        else:  # a pool of live column bits; the last live one fills the slot taken
+            pool = columns[:]
+            for n, k in steps:
+                r = bits(k)
+                while r >= n:
                     r = bits(k)
-                    while r >= width or m >> r & 1:
-                        r = bits(k)
-                    m |= 1 << r
-                yield m
+                m |= pool[r]
+                pool[r] = pool[n - 1]
+        rows.append(m)
+    return rows
 
 
 def random_compliant(n_a: int, n_b: int, alpha: Fraction, beta: Fraction,
@@ -128,5 +131,8 @@ def random_compliant(n_a: int, n_b: int, alpha: Fraction, beta: Fraction,
     """Seeded random digraph with out-degrees exactly ceil(beta|B|), ceil(alpha|A|)."""
     if seed < 0:  # random.Random(-s) is random.Random(s)
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    rows = tuple(_draw_rows(n_a, n_b, *required_degrees(n_a, n_b, alpha, beta), seed))
-    return BipartiteDigraph(n_a, n_b, rows[:n_a], rows[n_a:])
+    d_a, d_b = required_degrees(n_a, n_b, alpha, beta)
+    bits = random.Random(seed).getrandbits  # A-rows first, then B-rows
+    a_out = _sample_rows(bits, _row_rule(n_b, d_a), n_a)
+    b_out = _sample_rows(bits, _row_rule(n_a, d_b), n_b)
+    return BipartiteDigraph(n_a, n_b, tuple(a_out), tuple(b_out))

@@ -7,8 +7,9 @@ mask per depth: the A-vertices that already reach the new B-vertex
 within 2k-1 steps.  Randomized mode rejects a seeded sample at the first
 B-row that closes a 2-cycle, having drawn the A-rows and the B-rows up to
 it; a sample with no 2-cycle is drawn again whole and decided by girth.
-The row stream is defined in the program (`constructions._draw_rows`):
+The row stream is defined in the program (`constructions._sample_rows`):
 `random.sample`'s selection rule over rejection draws of `getrandbits(k)`.
+A run builds its two row rules (`constructions._row_rule`) once.
 Only `getrandbits` (the MT19937 output) is taken from the stdlib, so a
 seed gives the same rows across Python versions that keep `sample`
 unchanged, and a later `sample` cannot change them.  Runs are sequential
@@ -62,13 +63,14 @@ over the first path.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import _draw_rows, random_compliant, required_degrees
+from .constructions import _row_rule, _sample_rows, random_compliant, required_degrees
 from .digraph import BipartiteDigraph, _bits, _expand, _transpose, girth, is_compliant
 from .errors import InfeasibleConfig, InfeasibleDegree
 from .io import to_edge_list
@@ -313,6 +315,16 @@ class _Enumerator:
         return SearchStatus.Exhausted, nodes, None
 
 
+def _closes_2_cycle(a_rows: list[int], bits, rule_b, n_b: int) -> bool:
+    """Whether one of the n_b B-rows drawn next from `bits` closes a 2-cycle
+    b_j -> a_i -> b_j; the draws stop at the first that does."""
+    for j in range(n_b):
+        for i in _bits(_sample_rows(bits, rule_b, 1)[0]):
+            if a_rows[i] >> j & 1:
+                return True
+    return False
+
+
 def find_counterexample(cfg: SearchConfig) -> SearchReport:
     """Search for a compliant digraph of girth more than 2k.
 
@@ -326,14 +338,14 @@ def find_counterexample(cfg: SearchConfig) -> SearchReport:
     start = time.perf_counter()
     if cfg.mode == "randomized":
         d_a, d_b = cfg.degrees
+        rule_a, rule_b = _row_rule(cfg.n_b, d_a), _row_rule(cfg.n_a, d_b)
         nodes = 0
         witness = None
         while nodes < cfg.node_limit:
             nodes += 1
-            rows = _draw_rows(cfg.n_a, cfg.n_b, d_a, d_b, cfg.seed + nodes - 1)
-            a_rows = tuple(itertools.islice(rows, cfg.n_a))
-            if any(a_rows[i] >> j & 1 for j, row in enumerate(rows) for i in _bits(row)):
-                continue  # b_j -> a_i -> b_j, and 2 <= 2k
+            bits = random.Random(cfg.seed + nodes - 1).getrandbits
+            if _closes_2_cycle(_sample_rows(bits, rule_a, cfg.n_a), bits, rule_b, cfg.n_b):
+                continue  # 2 <= 2k
             g = random_compliant(cfg.n_a, cfg.n_b, cfg.alpha, cfg.beta,
                                  seed=cfg.seed + nodes - 1)
             gr = girth(g)

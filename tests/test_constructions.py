@@ -174,6 +174,8 @@ class TestRandomCompliant:
         ((33, 33), Fraction(8, 33), Fraction(8, 33)),  # pool draws of 6 bits, then 5
         ((5, 7), Fraction(0), Fraction(2, 7)),      # empty B-rows
         ((2, 30), Fraction(1, 2), Fraction(1)),     # full A-rows of width 30
+        # the switch at d <= 5: pool A-rows of width 21, set B-rows of width 22
+        ((22, 21), Fraction(3, 22), Fraction(2, 21)),
     ])
     def test_random_stream_is_pinned(self, sizes, alpha, beta):
         # the rows drawn for a seed do not change: `construct random` files

@@ -300,6 +300,9 @@ class TestFindCounterexample:
         (16, 16, 3, F(1, 8), F(1, 16)), (10, 10, 4, F(1, 5), F(1, 10)),
         (5, 12, 2, F(1, 5), F(1, 6)),
         (22, 26, 2, F(1, 22), F(1, 13)),  # rows of width 26 and 22: `sample`'s set
+        (30, 30, 3, F(1, 5), F(1, 5)),    # the benchmark's randomized run
+        (5, 7, 1, F(0), F(2, 7)),         # empty B-rows: the first sample is acyclic
+        (3, 3, 1, F(1), F(1)),            # full rows: every sample has a 2-cycle
     ]
 
     @pytest.mark.parametrize("cfg", RANDOMIZED_GRID, ids=str)
