@@ -30,24 +30,18 @@ from .lemmas import CheckReport, IneqParams, bellsandwhistles_check, delta_table
 
 
 @dataclass(frozen=True)
-class AuditEntry:
+class BigsetEntry:
     i: int
-    layer_size: int      # bigindeg: |M1(v)| + |M3(v)|
-    ok: bool
-
-
-@dataclass(frozen=True)
-class BigsetEntry(AuditEntry):
     branch: str          # "layer", "star", "both" or "none"
+    layer_size: int
     star_size: int       # |N*_{i-1}(v)|
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    kind: str
     passed: bool
-    entries: tuple[AuditEntry, ...]  # BigsetEntry from audit_bigset
-    detail: str = ""
+    detail: str
+    entries: tuple[BigsetEntry, ...] = ()
 
 
 def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
@@ -83,11 +77,11 @@ def audit_bigset(g: BipartiteDigraph, k: int, alpha: Fraction, beta: Fraction,
         by_star = star_size > star_bar
         branch = {(True, True): "both", (True, False): "layer",
                   (False, True): "star", (False, False): "none"}[(by_layer, by_star)]
-        entries.append(BigsetEntry(i, len(layer), by_layer or by_star, branch, star_size))
-    passed = all(e.ok for e in entries)
-    return AuditReport("bigset", passed, tuple(entries),
-                       detail=f"v={v}, k={k}, delta={delta}"
-                              + (" (claimed only)" if entry.claimed_only else ""))
+        entries.append(BigsetEntry(i, branch, len(layer), star_size))
+    passed = all(e.branch != "none" for e in entries)
+    return AuditReport(passed, f"v={v}, k={k}, delta={delta}"
+                               + (" (claimed only)" if entry.claimed_only else ""),
+                       tuple(entries))
 
 
 def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> AuditReport:
@@ -98,23 +92,13 @@ def audit_bigindeg(g: BipartiteDigraph, alpha: Fraction, beta: Fraction) -> Audi
     if gr is not None and gr.length < 4:
         raise PreconditionViolated(f"girth {gr.length} below four")
     needed = (alpha + beta) * g.a_size
-    best = -1
-    best_v = None
-    entries = []
-    # the backward layers as masks: one reversed adjacency, no vertex sets
-    radj = g.reverse().out
-    for j in range(g.b_size):
-        v = VertexRef(Side.B, j)
-        masks = _layers(radj, g.a_size + j, 3)
-        total = masks[1].bit_count() + masks[3].bit_count()
-        if total > best:
-            best = total
-            best_v = v
-        entries.append(AuditEntry(j, total, total >= needed))
-    passed = best >= needed
-    return AuditReport("bigindeg", passed, tuple(entries),
-                       detail=f"max |M1|+|M3| = {best} at {best_v}, "
-                              f"needed {needed}")
+    # M1(v) and M3(v), the odd backward layers, as masks over one reversed adjacency
+    radj, a = g.reverse().out, g.a_size
+    totals = [sum(m.bit_count() for m in _layers(radj, a + j, 3)[1::2])
+              for j in range(g.b_size)]
+    best = max(totals)  # is_compliant has checked that B is nonempty
+    at = VertexRef(Side.B, totals.index(best))  # the first vertex at the max
+    return AuditReport(best >= needed, f"max |M1|+|M3| = {best} at {at}, needed {needed}")
 
 
 def audit_bells(g: BipartiteDigraph) -> CheckReport:

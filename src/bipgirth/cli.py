@@ -25,6 +25,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -233,14 +234,11 @@ def _cmd_audit(args) -> int:
     if args.which == "bigset":
         report = audit_bigset(g, args.k, args.alpha, args.beta, args.delta,
                               VertexRef.parse(args.vertex), horizon=args.horizon)
-        out = {"kind": report.kind, "passed": report.passed,
-               "detail": report.detail,
-               "entries": [{"i": e.i, "branch": e.branch,
-                            "layer_size": e.layer_size, "star_size": e.star_size}
-                           for e in report.entries]}
+        out = {"kind": args.which, "passed": report.passed, "detail": report.detail,
+               "entries": [asdict(e) for e in report.entries]}
     elif args.which == "bigindeg":
         report = audit_bigindeg(g, args.alpha, args.beta)
-        out = {"kind": report.kind, "passed": report.passed,
+        out = {"kind": args.which, "passed": report.passed,
                "detail": report.detail}
     else:
         rep = audit_bells(g)

@@ -82,6 +82,13 @@ def _expand(rows, mask: int) -> int:
     return out
 
 
+def _check_vertex(g: BipartiteDigraph, v: VertexRef) -> None:
+    """Raise IndexOutOfRange unless v is a vertex of g."""
+    size = g.a_size if v.side is Side.A else g.b_size
+    if not 0 <= v.index < size:
+        raise IndexOutOfRange(f"{v} out of range for side size {size}")
+
+
 @dataclass(frozen=True)
 class BipartiteDigraph:
     a_size: int
@@ -98,6 +105,8 @@ class BipartiteDigraph:
         return sum(m.bit_count() for m in self.a_out) + sum(m.bit_count() for m in self.b_out)
 
     def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
+        _check_vertex(self, u)
+        _check_vertex(self, v)
         if u.side is v.side:
             return False
         row = self.a_out if u.side is Side.A else self.b_out
@@ -194,6 +203,8 @@ def general_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> GeneralDigra
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"edge ({i},{j}) out of range for n={n}")
+        if i == j:
+            raise ValueError(f"loop at vertex {i}")
         out[i] |= 1 << j
     return GeneralDigraph(n, tuple(out))
 
@@ -255,10 +266,12 @@ def shortest_cycle_length(g: AnyDigraph) -> Optional[tuple[int, int]]:
     finds |C| unless the cutoff is already there.  The returned start thus
     lies on a shortest cycle, with no shorter cycle through it.
 
-    The in-rows cost a transpose, which small digraphs, mostly done at
-    depth 2, should not pay: they are built only once the BFSs have
-    expanded as many frontier vertices as the digraph has edges, and
-    trimming then starts from every vertex already dead.
+    The in-rows cost a transpose of every edge, so they are built only once
+    the BFSs have expanded as many frontier vertices as the digraph has
+    edges; trimming then starts from every vertex already dead.  On a
+    random 1000+1000-vertex digraph of out-degree 50 whose first start lies
+    on no 2-cycle, building them at the first dead start took 25-34 ms a
+    call, against 0.8-1.5 ms with this budget (2-vCPU machine).
     """
     n, adj, starts = _unified(g)
     order = sorted(starts, key=lambda v: -adj[v].bit_count())
@@ -356,9 +369,7 @@ def forward_layers(g: BipartiteDigraph, v: VertexRef,
     i): `_layers` over the A-first numbering, each mask split back by side."""
     if max_i < 0:
         raise IndexOutOfRange(f"max_i={max_i} is below 0")
-    size = g.a_size if v.side is Side.A else g.b_size
-    if not 0 <= v.index < size:
-        raise IndexOutOfRange(f"{v} out of range for side size {size}")
+    _check_vertex(g, v)
     a = g.a_size
     a_mask = (1 << a) - 1
     masks = _layers(g.out, v.index if v.side is Side.A else a + v.index, max_i)

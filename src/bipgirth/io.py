@@ -66,7 +66,7 @@ def _arcs(lines, pattern):
 
 
 def _read(kind: str, sizes: list[int], body: str) -> AnyDigraph | None:
-    """The digraph, or None if the body, a label or a side size is at fault."""
+    """The digraph, or None if the body, a label, a side size or a loop is at fault."""
     if not _BODY[kind, len(sizes)].fullmatch(body) or kind == "bipartite" and 0 in sizes:
         return None
     n, rows = sizes[0], [0] * sum(sizes)  # allocated first, as the per-line reader does
@@ -85,8 +85,11 @@ def _read(kind: str, sizes: list[int], body: str) -> AnyDigraph | None:
                         return None
                     row[label], bit[label] = first + i, 1 << i
             rows[row[t]] |= bit[h]
-    return (GeneralDigraph(n, tuple(rows)) if kind == "digraph"
-            else BipartiteDigraph(n, sizes[1], tuple(rows[:n]), tuple(rows[n:])))
+    if kind == "bipartite":
+        return BipartiteDigraph(n, sizes[1], tuple(rows[:n]), tuple(rows[n:]))
+    if any(m >> i & 1 for i, m in enumerate(rows)):
+        return None  # a loop: the per-line reader names the first in line order
+    return GeneralDigraph(n, tuple(rows))
 
 
 def parse_edge_list(text: str) -> AnyDigraph:

@@ -27,6 +27,7 @@ from .errors import (
     BadEdgeSets,
     CaseNotApplicable,
     HypothesisViolated,
+    IndexOutOfRange,
     InfeasibleTriple,
     UnknownFact,
 )
@@ -335,15 +336,14 @@ Edge = tuple[VertexRef, VertexRef]
 
 def _mixed_four_cycle(g: BipartiteDigraph, R: frozenset[Edge],
                       S: frozenset[Edge]) -> bool:
-    """Is there a directed 4-cycle with an edge in R and a different edge in S?"""
+    """Is there a directed 4-cycle with an edge in R and a different edge in S?
+    g has no 2-cycle (checked first by the caller), so b2 != b1 and a1 != a2."""
     for b1 in range(g.b_size):
         for a2 in _bits(g.b_out[b1]):
             e1 = (VertexRef(Side.B, b1), VertexRef(Side.A, a2))
             for b2 in _bits(g.a_out[a2]):
-                if b2 == b1:
-                    continue
                 for a1 in _bits(g.b_out[b2]):
-                    if a1 == a2 or not (g.a_out[a1] >> b1) & 1:
+                    if not (g.a_out[a1] >> b1) & 1:
                         continue
                     e2 = (VertexRef(Side.B, b2), VertexRef(Side.A, a1))
                     if (e1 in R and e2 in S) or (e1 in S and e2 in R):
@@ -361,23 +361,26 @@ def bellsandwhistles_check(g: BipartiteDigraph, R: Iterable[Edge], S: Iterable[E
     """
     R = frozenset(R)
     S = frozenset(S)
+    na, nb = g.a_size, g.b_size
     for t, h in R | S:
         if t.side is not Side.B or h.side is not Side.A:
             raise BadEdgeSets(f"edge {t}->{h} does not run from B to A")
-        if not (g.b_out[t.index] >> h.index) & 1:
+        if not (0 <= t.index < nb and 0 <= h.index < na and g.b_out[t.index] >> h.index & 1):
             raise BadEdgeSets(f"edge {t}->{h} not present in the digraph")
     x, y, beta, gamma, lam, mu = (params.x, params.y, params.beta,
                                   params.gamma, params.lam, params.mu)
-    na, nb = g.a_size, g.b_size
-    a_r = [0] * nb
-    a_s = [0] * nb
-    for t, _ in R:
-        a_r[t.index] += 1
-    for t, _ in S:
-        a_s[t.index] += 1
-    a_val = [Fraction(a_r[j] + a_s[j], 2 * na) for j in range(nb)]
-    X = frozenset(v.index for v in X_set)
-    Y = frozenset(v.index for v in Y_set)
+    tails = [0] * nb  # per B-vertex, its edges in R plus its edges in S
+    for t, _ in [*R, *S]:
+        tails[t.index] += 1
+    a_val = [Fraction(c, 2 * na) for c in tails]
+
+    def b_index(v: VertexRef) -> int:
+        if v.side is not Side.B or not 0 <= v.index < nb:
+            raise IndexOutOfRange(f"{v} in X or Y is not one of B0..B{nb - 1}")
+        return v.index
+
+    X = frozenset(map(b_index, X_set))
+    Y = frozenset(map(b_index, Y_set))
 
     if beta < x * gamma or y * beta + x * (1 - y) * gamma > mu:
         raise HypothesisViolated("bullet 1", "parameter inequalities fail")

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from bipgirth import audit
-from bipgirth.audit import AuditEntry, audit_bigindeg, audit_bigset
+from bipgirth.audit import audit_bigindeg, audit_bigset
 from bipgirth.constructions import circulant
-from bipgirth.digraph import A, B, BipartiteDigraph, backward_layers, from_edges
+from bipgirth.digraph import (A, B, BipartiteDigraph, backward_layers, compliance_profile,
+                              from_edges)
 from bipgirth.errors import IndexOutOfRange, PreconditionViolated
 from bipgirth.lemmas import DELTA12
 
@@ -79,8 +80,13 @@ def test_bigindeg_totals_are_backward_layer_sizes():
         # drop each B->A arc that closes a 2-cycle, so the girth is at least 4
         g = BipartiteDigraph(g.a_size, g.b_size, g.a_out,
                              tuple(m & ~g.b_in[j] for j, m in enumerate(g.b_out)))
-        rep = audit_bigindeg(g, Fraction(0), Fraction(0))
-        for e in rep.entries:
-            assert type(e) is AuditEntry  # no branch or star size: none is computed
-            layers = backward_layers(g, B(e.i), 3)
-            assert e.layer_size == len(layers[1]) + len(layers[3])
+        totals = [len(layers[1]) + len(layers[3])
+                  for layers in (backward_layers(g, B(j), 3) for j in range(g.b_size))]
+        best = max(totals)
+        alpha, beta = compliance_profile(g)
+        needed = (alpha + beta) * g.a_size
+        rep = audit_bigindeg(g, alpha, beta)
+        assert rep.detail == (f"max |M1|+|M3| = {best} at B{totals.index(best)}, "
+                              f"needed {needed}")
+        assert rep.passed == (best >= needed)
+        assert rep.entries == ()

@@ -271,6 +271,23 @@ class TestAudit:
         assert blob["conclusion_held"] is True
         assert blob["lhs"] == "1/3"
 
+    @pytest.mark.parametrize("argv, out", [
+        (["bigindeg", "--alpha", "1/5", "--beta", "1/5"],
+         {"kind": "bigindeg", "passed": True,
+          "detail": "max |M1|+|M3| = 5 at B0, needed 4"}),
+        (["bigset", "--k", "3", "--alpha", "1/5", "--beta", "1/5", "--delta", "9/4",
+          "--vertex", "A0", "--horizon", "3"],
+         {"kind": "bigset", "passed": True, "detail": "v=A0, k=3, delta=9/4",
+          "entries": [{"i": i, "branch": "layer", "layer_size": size, "star_size": star}
+                      for i, size, star in [(1, 2, 0), (2, 3, 2), (3, 3, 3)]]}),
+    ], ids=["bigindeg", "bigset"])
+    def test_full_stdout(self, tmp_path, capsys, argv, out):
+        # 10 vertices a side, out-degree 2 and girth 8
+        path = tmp_path / "c322.txt"
+        path.write_text(to_edge_list(circulant(3, 2, 2)))
+        assert main(["audit", argv[0], str(path), *argv[1:]]) == 0
+        assert capsys.readouterr().out == json.dumps(out, indent=2) + "\n"
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):

@@ -136,6 +136,15 @@ class TestConstruction:
         assert g.has_edge(A(0), B(1))
         assert not g.has_edge(B(1), A(0))
 
+    @pytest.mark.parametrize("u, v, bad", [(A(-1), B(2), "A-1"), (A(9), B(0), "A9"),
+                                           (B(0), A(3), "A3")],
+                             ids=["below_first", "past_last_tail", "past_last_head"])
+    def test_has_edge_checks_its_vertices(self, u, v, bad):
+        # A-1 once read the last row, A2's, and A9 raised a bare IndexError
+        g = from_edges(3, 3, [(A(2), B(2))])
+        with pytest.raises(IndexOutOfRange, match=f"^{bad} out of range for side size 3$"):
+            g.has_edge(u, v)
+
     def test_same_side_edge(self):
         with pytest.raises(SameSideEdge):
             from_edges(2, 2, [(A(0), A(1))])

@@ -221,9 +221,15 @@ def test_label_too_long_for_int_in_line_order():
     # line numbers count blank lines and every str.splitlines break
     ("\n bipartite 2 2\r\nA0 B1\x85\u2028A0\xa0B1 x\n",
      ValueError, "line 5: expected two vertex labels, got 'A0\\xa0B1 x'"),
+    # a loop before a malformed line or an out-of-range label, and the
+    # first loop in line order, not in vertex order
+    ("digraph 3\n0 0\n1 junk\n", ValueError, "loop at vertex 0"),
+    ("digraph 3\n0 0\n5 1\n", ValueError, "loop at vertex 0"),
+    ("digraph 4\n3 3\n0 0\n", ValueError, "loop at vertex 3"),
 ], ids=["past_last_b", "past_last_a", "past_last_general", "same_side", "two_arcs",
         "empty_side", "range_before_malformed", "general_range_before_malformed",
-        "same_side_before_malformed", "malformed_first", "line_numbers"])
+        "same_side_before_malformed", "malformed_first", "line_numbers",
+        "loop_before_malformed", "loop_before_range", "first_loop_in_line_order"])
 def test_reported_fault(text, error, message):
     """The first fault in line order, with its class and message."""
     with pytest.raises(error) as info:

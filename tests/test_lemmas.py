@@ -19,6 +19,7 @@ from bipgirth.errors import (
     BadEdgeSets,
     CaseNotApplicable,
     HypothesisViolated,
+    IndexOutOfRange,
     InfeasibleTriple,
     UnknownFact,
 )
@@ -417,6 +418,28 @@ class TestBellsAndWhistles:
         with pytest.raises(BadEdgeSets, match="not present in the digraph"):
             bellsandwhistles_check(circulant(2, 1, 1), [(B(0), A(0))], [],
                                    params, [], [B(0), B(1), B(2)])
+
+    def test_edge_out_of_range(self):
+        # B-1 once read the last B-vertex's row: b2 -> a0 is in the six-cycle
+        params = IneqParams(F(0), F(1), F(1, 3), F(0), F(1, 3), F(1, 3))
+        assert circulant(2, 1, 1).has_edge(B(2), A(0))
+        for edge in [(B(-1), A(0)), (B(3), A(0)), (B(2), A(-1))]:
+            with pytest.raises(BadEdgeSets, match="not present in the digraph"):
+                bellsandwhistles_check(circulant(2, 1, 1), [edge], [],
+                                       params, [], [B(0), B(1), B(2)])
+
+    @pytest.mark.parametrize("X, Y, message", [
+        ([], [A(0), A(1), A(2)], "A0 in X or Y is not one of B0..B2"),
+        ([A(1)], [B(0), B(1), B(2)], "A1 in X or Y is not one of B0..B2"),
+        ([], [B(0), B(1), B(7)], "B7 in X or Y is not one of B0..B2"),
+    ], ids=["a_side_in_y", "a_side_in_x", "past_last_in_y"])
+    def test_x_and_y_hold_b_vertices(self, X, Y, message):
+        # A-side refs were once read as B indices, and B7 raised a bare IndexError
+        g = circulant(2, 1, 1)
+        edges = [(t, h) for t, h in g.edges() if t.side is Side.B]
+        params = IneqParams(F(0), F(1), F(1, 3), F(0), F(1, 3), F(1, 3))
+        with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+            bellsandwhistles_check(g, edges, edges, params, X, Y)
 
     @pytest.mark.parametrize("params, X, Y, bullet, message", [
         ((0, 1, F(1, 3), 0, F(1, 3), F(1, 4)), [], [0, 1, 2],
